@@ -34,7 +34,6 @@ from .errors import ConfigurationError, InputError
 from .metrics import (
     AbsDiffMetric,
     DatasetSummary,
-    EvalCounter,
     FactorStats,
     LevenshteinMetric,
     MetricSpace,
@@ -55,7 +54,6 @@ from .search import (
 from .tree import (
     GreedyPermutation,
     GreedyTree,
-    GreedyTreeNode,
     VerificationReport,
     build_greedy_tree,
     greedy_permutation,
@@ -72,13 +70,11 @@ __all__ = [
     "ConfigurationError",
     "Dataset",
     "DatasetSummary",
-    "EvalCounter",
     "FactorSpec",
     "FactorStats",
     "GreedyPermutation",
     "GreedyRangeTree",
     "GreedyTree",
-    "GreedyTreeNode",
     "InputError",
     "LevenshteinMetric",
     "MetricSpace",

@@ -3,7 +3,8 @@
 The first factor gets a greedy tree over the whole dataset.  Every node
 of that tree carries an auxiliary structure over exactly its own points,
 built on the remaining factors; with one factor left the auxiliary is a
-plain greedy tree.  Auxiliaries are assembled bottom-up by merging the
+plain greedy tree.  The auxiliaries form a list indexed like the primary
+tree's preorder nodes.  They are assembled bottom-up by merging the
 children's auxiliaries, which copies rather than consumes them, so child
 structures stay valid after their parent is built.
 
@@ -21,7 +22,6 @@ from .metrics import MetricSpace
 from .search import NodeCover, ProductQuery, SearchStats, range_cover, range_report
 from .tree import (
     GreedyTree,
-    GreedyTreeNode,
     build_greedy_tree,
     greedy_permutation,
     merge,
@@ -47,7 +47,7 @@ class GreedyRangeTree:
     """Cascade over two or more factors (one factor is a plain tree)."""
 
     primary: GreedyTree
-    aux: dict[int, "GreedyRangeTree | GreedyTree"]  # keyed by id(node)
+    aux: list["GreedyRangeTree | GreedyTree"]  # one per primary node, in preorder
     factors: list[MetricSpace]
 
     @property
@@ -58,36 +58,27 @@ class GreedyRangeTree:
     def m(self) -> int:
         return len(self.factors)
 
-    def aux_of(self, node: GreedyTreeNode) -> "GreedyRangeTree | GreedyTree":
-        return self.aux[id(node)]
+    def aux_of(self, node: int) -> "GreedyRangeTree | GreedyTree":
+        return self.aux[node]
 
 
-def _decorate(tree: GreedyTree, rest: Sequence[MetricSpace], merge_mode: str) -> dict[int, Any]:
-    """Attach an auxiliary per node of ``tree`` over the ``rest`` factors."""
-    aux: dict[int, Any] = {}
-    post: list[GreedyTreeNode] = []
-    stack = [tree.root]
-    while stack:
-        v = stack.pop()
-        post.append(v)
-        if v.left is not None:
-            stack.append(v.left)
-            stack.append(v.right)
-    # Reverse preorder visits children before parents.
-    for v in reversed(post):
-        if v.left is None:
-            aux[id(v)] = build_grt([v.center], rest, merge_mode=merge_mode)
+def _decorate(tree: GreedyTree, rest: Sequence[MetricSpace], merge_mode: str) -> list[Any]:
+    """Build an auxiliary per node of ``tree`` over the ``rest`` factors."""
+    aux: list[Any] = [None] * len(tree.center)
+    # Children have larger preorder indices than their parent.
+    for i in reversed(tree.nodes()):
+        r = tree.right[i]
+        if r < 0:
+            aux[i] = build_grt([tree.center[i]], rest, merge_mode=merge_mode)
+        elif len(rest) == 1:
+            aux[i] = merge(aux[i + 1], aux[r], mode=merge_mode)
         else:
-            left_aux, right_aux = aux[id(v.left)], aux[id(v.right)]
-            if len(rest) == 1:
-                aux[id(v)] = merge(left_aux, right_aux, mode=merge_mode)
-            else:
-                primary = merge(left_aux.primary, right_aux.primary, mode=merge_mode)
-                aux[id(v)] = GreedyRangeTree(
-                    primary=primary,
-                    aux=_decorate(primary, rest[1:], merge_mode),
-                    factors=list(rest),
-                )
+            primary = merge(aux[i + 1].primary, aux[r].primary, mode=merge_mode)
+            aux[i] = GreedyRangeTree(
+                primary=primary,
+                aux=_decorate(primary, rest[1:], merge_mode),
+                factors=list(rest),
+            )
     return aux
 
 
@@ -157,7 +148,7 @@ def grt_query(struct: GreedyRangeTree | GreedyTree, query: ProductQuery) -> tupl
         cover, stats = range_cover(s.primary, payload, radius, query.epsilon)
         agg.add(level, stats)
         for node in cover.nodes:
-            walk(s.aux_of(node), level + 1)
+            walk(s.aux[node], level + 1)
 
     walk(struct, 0)
     stats = SearchStats(
@@ -179,8 +170,8 @@ def aux_leaf_totals(struct: GreedyRangeTree | GreedyTree) -> dict[int, int]:
             totals[level] = totals.get(level, 0) + s.n
             return
         totals[level] = totals.get(level, 0) + s.primary.n
-        for v in s.primary.nodes():
-            walk(s.aux_of(v), level + 1)
+        for sub in s.aux:
+            walk(sub, level + 1)
 
     walk(struct, 0)
     return totals
@@ -195,11 +186,10 @@ def aux_leaf_totals(struct: GreedyRangeTree | GreedyTree) -> dict[int, int]:
 def grt_to_obj(struct: GreedyRangeTree | GreedyTree) -> dict[str, Any]:
     if isinstance(struct, GreedyTree):
         return tree_to_obj(struct)
-    extra = {nid: grt_to_obj(sub) for nid, sub in struct.aux.items()}
     return {
         "format": GRT_FORMAT,
         "version": GRT_VERSION,
-        "primary": tree_to_obj(struct.primary, node_extra=extra),
+        "primary": tree_to_obj(struct.primary, node_extra=[grt_to_obj(sub) for sub in struct.aux]),
     }
 
 
@@ -212,12 +202,12 @@ def grt_from_obj(obj: dict[str, Any], factors: Sequence[MetricSpace]) -> GreedyR
             raise InputError(f"unsupported {GRT_FORMAT} version {obj.get('version')!r}")
         if len(factors) < 2:
             raise InputError("a cascade object needs at least two factors")
-        primary, records = tree_from_obj(obj["primary"], factors[0])
-        aux: dict[int, Any] = {}
-        for node, rec in zip(primary.nodes(), records):
+        primary, records = tree_from_obj(obj.get("primary"), factors[0])
+        aux = []
+        for rec in records:
             if "aux" not in rec:
                 raise InputError("cascade node is missing its auxiliary structure")
-            aux[id(node)] = grt_from_obj(rec["aux"], factors[1:])
+            aux.append(grt_from_obj(rec["aux"], factors[1:]))
         return GreedyRangeTree(primary=primary, aux=aux, factors=factors)
     if len(factors) != 1:
         raise InputError(f"expected a {GRT_FORMAT} object for {len(factors)} factors")

@@ -15,7 +15,6 @@ import csv
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -106,14 +105,22 @@ def load_index(path: str | Path) -> tuple[str, Dataset, Any]:
     structure = obj.get("structure")
     if structure not in STRUCTURES:
         raise InputError(f"{path}: unknown structure {structure!r}")
-    specs = [FactorSpec(name=e["name"], kind=e["kind"], dim=e.get("dim")) for e in obj["factors"]]
-    dataset = Dataset(specs, obj["coords"])
+    factors, coords = obj.get("factors"), obj.get("coords")
+    if not isinstance(factors, list) or not all(isinstance(e, dict) and {"name", "kind"} <= e.keys() for e in factors):
+        raise InputError(f"{path}: 'factors' must list objects with 'name' and 'kind'")
+    if not isinstance(coords, dict):
+        raise InputError(f"{path}: 'coords' must map factor names to columns")
+    try:
+        specs = [FactorSpec(name=e["name"], kind=e["kind"], dim=e.get("dim")) for e in factors]
+        dataset = Dataset(specs, coords)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{path}: malformed factors or coordinate columns: {exc}") from exc
     if dataset.n != obj.get("n"):
         raise InputError(f"{path}: coordinate columns disagree with n={obj.get('n')}")
     if structure == "product-tree":
-        struct, _ = tree_from_obj(obj["tree"], dataset.product())
+        struct, _ = tree_from_obj(obj.get("tree"), dataset.product())
     else:
-        struct = grt_from_obj(obj["tree"], dataset.spaces())
+        struct = grt_from_obj(obj.get("tree"), dataset.spaces())
     return structure, dataset, struct
 
 
@@ -177,11 +184,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     workload = load_workload(args.workload, dataset.specs)
     queries = _resolve_queries(workload, args.epsilon_default)
     t0 = time.perf_counter()
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            outcomes = list(pool.map(lambda q: _run_one(struct, structure, q), queries))
-    else:
-        outcomes = [_run_one(struct, structure, q) for q in queries]
+    outcomes = [_run_one(struct, structure, q) for q in queries]
     wall = time.perf_counter() - t0
 
     rows = []
@@ -336,17 +339,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def _depth_histogram(tree: GreedyTree) -> list[int]:
     counts: list[int] = []
-    if tree.root is None:
-        return counts
-    stack = [(tree.root, 0)]
-    while stack:
-        v, d = stack.pop()
-        while len(counts) <= d:
+    depth = [0] * len(tree.center)
+    for i in tree.nodes():
+        d = depth[i]
+        if d == len(counts):
             counts.append(0)
         counts[d] += 1
-        if v.left is not None:
-            stack.append((v.left, d + 1))
-            stack.append((v.right, d + 1))
+        r = tree.right[i]
+        if r >= 0:
+            depth[i + 1] = depth[r] = d + 1
     return counts
 
 
@@ -415,7 +416,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workload", required=True, help="workload JSONL path")
     p.add_argument("--out", required=True, help="results JSONL path")
     p.add_argument("--epsilon-default", type=float, default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(fn=cmd_query)
 
     p = sub.add_parser("verify", help="check results against the brute-force oracle")

@@ -15,6 +15,7 @@ Factor configuration is a JSON array ordered like the query radii:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Sequence
@@ -82,17 +83,22 @@ def _coerce_value(spec: FactorSpec, value: Any, where: str) -> Any:
     if spec.kind == "abs1d":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise InputError(f"{where}: factor {spec.name!r} expects a number, got {value!r}")
-        return float(value)
-    if spec.kind in ("l2", "l1"):
+        vec = [value]
+    elif spec.kind in ("l2", "l1"):
         if not isinstance(value, (list, tuple)) or len(value) != spec.dim:
             raise InputError(f"{where}: factor {spec.name!r} expects a vector of length {spec.dim}")
-        try:
-            return [float(v) for v in value]
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"{where}: factor {spec.name!r} has a non-numeric entry") from exc
-    if not isinstance(value, str):
-        raise InputError(f"{where}: factor {spec.name!r} expects a string, got {value!r}")
-    return value
+        vec = value
+    else:
+        if not isinstance(value, str):
+            raise InputError(f"{where}: factor {spec.name!r} expects a string, got {value!r}")
+        return value
+    try:
+        vec = [float(v) for v in vec]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{where}: factor {spec.name!r} has a non-numeric entry in {value!r}") from exc
+    if not all(math.isfinite(v) for v in vec):
+        raise InputError(f"{where}: factor {spec.name!r} has a non-finite coordinate in {value!r}")
+    return vec[0] if spec.kind == "abs1d" else vec
 
 
 class Dataset:
@@ -272,7 +278,7 @@ def load_workload(path: str | Path, specs: Sequence[FactorSpec]) -> list[Workloa
             raise InputError(f"{where}: 'radii' must list one radius per factor ({len(specs)})")
         try:
             radii = tuple(float(r) for r in radii)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"{where}: radii must be numbers") from exc
         eps = obj.get("epsilon")
         if eps is not None:

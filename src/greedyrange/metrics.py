@@ -3,7 +3,7 @@
 A metric space wraps one coordinate column of a dataset and exposes
 distances between stored points (by id) and from free query payloads to
 stored points.  Every public distance call increments the space's
-evaluation counter by exactly one per point pair, including bulk calls,
+``evals`` count by exactly one per point pair, including bulk calls,
 so instrumentation stays comparable between the brute-force oracle and
 the tree-based indexes.
 
@@ -13,7 +13,6 @@ The product of several spaces combines factor distances by max.
 from __future__ import annotations
 
 import math
-import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
@@ -23,7 +22,6 @@ import numpy as np
 from .errors import ConfigurationError, InputError
 
 __all__ = [
-    "EvalCounter",
     "MetricSpace",
     "AbsDiffMetric",
     "MinkowskiMetric",
@@ -34,41 +32,6 @@ __all__ = [
     "dataset_summary",
     "levenshtein",
 ]
-
-
-class EvalCounter:
-    """Distance-evaluation counter sharded per thread.
-
-    Each thread increments its own cell, so concurrent queries never lose
-    updates; reads take a lock and sum the shards.  Cells outlive their
-    threads, keeping totals stable after worker pools shut down.
-    """
-
-    __slots__ = ("_lock", "_local", "_cells")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._local = threading.local()
-        self._cells: list[list[int]] = []
-
-    def add(self, k: int) -> None:
-        try:
-            self._local.cell[0] += k
-        except AttributeError:
-            cell = [k]
-            self._local.cell = cell
-            with self._lock:
-                self._cells.append(cell)
-
-    @property
-    def total(self) -> int:
-        with self._lock:
-            return sum(cell[0] for cell in self._cells)
-
-    def reset(self) -> None:
-        with self._lock:
-            for cell in self._cells:
-                cell[0] = 0
 
 
 def _as_id_array(ids: Any, n: int) -> np.ndarray:
@@ -92,15 +55,10 @@ class MetricSpace(ABC):
     def __init__(self, name: str, size: int) -> None:
         self.name = name
         self._n = int(size)
-        self.counter = EvalCounter()
+        self.evals = 0  # distance evaluations performed through this space
 
     def __len__(self) -> int:
         return self._n
-
-    @property
-    def evals(self) -> int:
-        """Total distance evaluations performed through this space."""
-        return self.counter.total
 
     @abstractmethod
     def _pairs(self, x: int, ids: np.ndarray) -> np.ndarray:
@@ -119,23 +77,23 @@ class MetricSpace(ABC):
     def dist(self, x: int, y: int) -> float:
         x = self._check_id(x)
         y = self._check_id(y)
-        self.counter.add(1)
+        self.evals += 1
         return float(self._pairs(x, np.asarray([y], dtype=np.intp))[0])
 
     def dist_many(self, x: int, ids: Any) -> np.ndarray:
         x = self._check_id(x)
         ids = _as_id_array(ids, self._n)
-        self.counter.add(ids.size)
+        self.evals += ids.size
         return self._pairs(x, ids)
 
     def dist_point(self, q: Any, y: int) -> float:
         y = self._check_id(y)
-        self.counter.add(1)
+        self.evals += 1
         return float(self._point(q, np.asarray([y], dtype=np.intp))[0])
 
     def dist_point_many(self, q: Any, ids: Any) -> np.ndarray:
         ids = _as_id_array(ids, self._n)
-        self.counter.add(ids.size)
+        self.evals += ids.size
         return self._point(q, ids)
 
 
@@ -235,7 +193,7 @@ class ProductMetric:
     """Max combination of factor metrics over a shared point set.
 
     Point-to-point distance is the max of factor distances, and every
-    call charges one evaluation to each factor's counter.  Query payloads
+    call charges one evaluation to each factor.  Query payloads
     are per-factor tuples aligned with ``factors``.
     """
 

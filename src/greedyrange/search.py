@@ -23,6 +23,7 @@ loop drains the heap down to radius-zero nodes and the output is exact.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
@@ -30,7 +31,7 @@ import numpy as np
 
 from .errors import InputError
 from .metrics import MetricSpace, ProductMetric
-from .tree import GreedyTree, GreedyTreeNode, subtree_points
+from .tree import GreedyTree, subtree_points
 
 __all__ = [
     "ProductQuery",
@@ -55,10 +56,10 @@ class ProductQuery:
             raise InputError("one radius per factor coordinate is required")
         if not self.radii:
             raise InputError("a query needs at least one factor")
-        if any(r <= 0 for r in self.radii):
-            raise InputError(f"radii must be positive, got {self.radii}")
-        if self.epsilon < 0:
-            raise InputError(f"epsilon must be nonnegative, got {self.epsilon}")
+        if not all(0 < r < math.inf for r in self.radii):
+            raise InputError(f"radii must be positive and finite, got {self.radii}")
+        if not 0 <= self.epsilon < math.inf:
+            raise InputError(f"epsilon must be nonnegative and finite, got {self.epsilon}")
 
     @property
     def aspect_ratio(self) -> float:
@@ -94,27 +95,30 @@ class SearchStats:
 
 @dataclass(frozen=True)
 class NodeCover:
-    """Disjoint tree nodes whose leaves jointly answer a cover query."""
+    """Disjoint nodes of ``tree`` whose leaves jointly answer a cover query."""
 
-    nodes: tuple[GreedyTreeNode, ...]
+    tree: GreedyTree
+    nodes: tuple[int, ...]
 
     def point_count(self) -> int:
-        return sum(v.point_count for v in self.nodes)
+        return sum(self.tree.count[v] for v in self.nodes)
 
     def points(self) -> np.ndarray:
         if not self.nodes:
             return np.empty(0, dtype=np.intp)
-        return np.concatenate([subtree_points(v) for v in self.nodes])
+        return np.concatenate([subtree_points(self.tree, v) for v in self.nodes])
 
 
 def _heap_search(
-    root: GreedyTreeNode,
+    t: GreedyTree,
     factors: Sequence[MetricSpace | ProductMetric],
     coords: Sequence[Any],
     radii: Sequence[float],
     epsilon: float,
-    coverage_probe: Callable[[list[GreedyTreeNode], list[GreedyTreeNode]], None] | None = None,
-) -> tuple[list[GreedyTreeNode], "SearchStats"]:
+    coverage_probe: Callable[[list[int], list[int]], None] | None = None,
+) -> tuple[list[int], "SearchStats"]:
+    """Best-first search from the root of nonempty ``t``; returns node indices."""
+    center, radius, right = t.center, t.radius, t.right
     m = len(factors)
     evals = [0] * m
     expanded = [(1.0 + epsilon) * r for r in radii]
@@ -124,40 +128,40 @@ def _heap_search(
     # Live centers are distinct, so the first two fields order totally.
     # The root takes the same survival test as any child: every queued
     # node must have passed it, or the residual flush below is unsound.
-    heap: list[tuple[float, int, int, GreedyTreeNode, tuple[float, ...]]] = []
+    heap: list[tuple[float, int, int, int, tuple[float, ...]]] = []
     root_dists: list[float] | None = []
     for i in range(m):
-        d = factors[i].dist_point(coords[i], root.center)
+        d = factors[i].dist_point(coords[i], center[0])
         evals[i] += 1
-        if d > radii[i] + root.radius:
+        if d > radii[i] + radius[0]:
             root_dists = None
             break
         root_dists.append(d)
     if root_dists is not None:
-        heap.append((-root.radius, root.center, 0, root, tuple(root_dists)))
+        heap.append((-radius[0], center[0], 0, 0, tuple(root_dists)))
     width = len(heap)
     height = 0
     splits = 0
-    out: list[GreedyTreeNode] = []
+    out: list[int] = []
 
     while heap and -heap[0][0] > cutoff:
         neg_r, _, depth, node, dists = heapq.heappop(heap)
         r = -neg_r
         if all(dists[i] <= expanded[i] - r for i in range(m)):
             out.append(node)
-        elif node.left is not None:
+        elif right[node] >= 0:
             splits += 1
             depth += 1
             if depth > height:
                 height = depth
-            for child, known in ((node.right, None), (node.left, dists)):
-                rc = child.radius
+            for child, known in ((right[node], None), (node + 1, dists)):
+                rc = radius[child]
                 if known is None:
                     # Fresh center: evaluate factors in order, stop at the
                     # first one that prunes.
                     ds = []
                     for i in range(m):
-                        d = factors[i].dist_point(coords[i], child.center)
+                        d = factors[i].dist_point(coords[i], center[child])
                         evals[i] += 1
                         if d > radii[i] + rc:
                             ds = None
@@ -170,7 +174,7 @@ def _heap_search(
                     # Left child shares the parent's center; reuse its
                     # distances instead of re-evaluating.
                     continue
-                heapq.heappush(heap, (-rc, child.center, depth, child, known))
+                heapq.heappush(heap, (-rc, center[child], depth, child, known))
             if len(heap) > width:
                 width = len(heap)
         # No other case: a leaf only enters the heap within its exact
@@ -184,7 +188,7 @@ def _heap_search(
         height=height,
         splits=splits,
         dist_evals=tuple(evals),
-        output_size=sum(v.point_count for v in out),
+        output_size=sum(t.count[v] for v in out),
     )
     return out, stats
 
@@ -207,26 +211,26 @@ def product_range_query(
         raise InputError("product_range_query needs a tree over a product metric")
     if len(query.radii) != metric.m:
         raise InputError(f"query has {len(query.radii)} radii but the tree has {metric.m} factors")
-    if t.root is None:
+    if t.n == 0:
         return set(), SearchStats(0, 0, 0, tuple([0] * metric.m), 0)
 
     probe = None
     if coverage_check is not None:
         expected = list(coverage_check)
 
-        def probe(out_nodes: list[GreedyTreeNode], heap_nodes: list[GreedyTreeNode]) -> None:
+        def probe(out_nodes: list[int], heap_nodes: list[int]) -> None:
             covered: set[int] = set()
             for v in out_nodes + heap_nodes:
-                covered.update(subtree_points(v).tolist())
+                covered.update(subtree_points(t, v).tolist())
             lost = [p for p in expected if p not in covered]
             assert not lost, f"exact answer points {lost} dropped from output + heap"
 
     nodes, stats = _heap_search(
-        t.root, metric.factors, query.coords, query.radii, query.epsilon, coverage_probe=probe
+        t, metric.factors, query.coords, query.radii, query.epsilon, coverage_probe=probe
     )
     points: set[int] = set()
     for v in nodes:
-        points.update(subtree_points(v).tolist())
+        points.update(subtree_points(t, v).tolist())
     return points, stats
 
 
@@ -243,14 +247,14 @@ def range_cover(
     around q, their point sets are pairwise disjoint, and together they
     cover every dataset point within ``radius`` of q.
     """
-    if radius <= 0:
-        raise InputError(f"radius must be positive, got {radius}")
-    if epsilon < 0:
-        raise InputError(f"epsilon must be nonnegative, got {epsilon}")
-    if t.root is None:
-        return NodeCover(nodes=()), SearchStats(0, 0, 0, (0,), 0)
-    nodes, stats = _heap_search(t.root, [t.metric], [q], [radius], epsilon)
-    return NodeCover(nodes=tuple(nodes)), stats
+    if not 0 < radius < math.inf:
+        raise InputError(f"radius must be positive and finite, got {radius}")
+    if not 0 <= epsilon < math.inf:
+        raise InputError(f"epsilon must be nonnegative and finite, got {epsilon}")
+    if t.n == 0:
+        return NodeCover(tree=t, nodes=()), SearchStats(0, 0, 0, (0,), 0)
+    nodes, stats = _heap_search(t, [t.metric], [q], [radius], epsilon)
+    return NodeCover(tree=t, nodes=tuple(nodes)), stats
 
 
 def range_report(
@@ -263,5 +267,5 @@ def range_report(
     cover, stats = range_cover(t, q, radius, epsilon)
     points: set[int] = set()
     for v in cover.nodes:
-        points.update(subtree_points(v).tolist())
+        points.update(subtree_points(t, v).tolist())
     return points, stats

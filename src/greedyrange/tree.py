@@ -5,7 +5,13 @@ chosen so far.  The tree hangs every point under its nearest predecessor
 and binarizes each center's child list in rank order: the right child is
 the subtree of the earliest remaining child, the left child keeps the
 center with the rest.  Node radii are exact maxima over subtree points,
-recomputed bottom-up, so every node is a tight ball cover of its leaves.
+so every node is a tight ball cover of its leaves.
+
+A tree is one set of columns indexed by node in preorder: ``center``,
+``radius``, ``count`` (points below) and ``right`` (-1 at leaves).  The
+left child of internal node ``i`` is always ``i + 1``.  ``leaves`` lists
+the point ids in leaf order, so the points of node ``i`` are the slice
+``leaves[first[i]:first[i] + count[i]]``.
 
 Exactness has one consequence worth knowing: a right child's radius may
 exceed its parent's when an attachment chain wanders around the center
@@ -18,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -27,7 +33,6 @@ from .metrics import MetricSpace, ProductMetric
 
 __all__ = [
     "GreedyPermutation",
-    "GreedyTreeNode",
     "GreedyTree",
     "VerificationReport",
     "greedy_permutation",
@@ -114,117 +119,107 @@ def greedy_permutation(points: Sequence[int], metric: Metric, seed: int | str = 
     return GreedyPermutation(order, radii, parents)
 
 
-class GreedyTreeNode:
-    """Binary ball-tree node; leaves carry single points and radius 0."""
-
-    __slots__ = ("center", "radius", "left", "right", "point_count")
-
-    def __init__(
-        self,
-        center: int,
-        radius: float,
-        left: "GreedyTreeNode | None" = None,
-        right: "GreedyTreeNode | None" = None,
-        point_count: int = 1,
-    ) -> None:
-        self.center = center
-        self.radius = radius
-        self.left = left
-        self.right = right
-        self.point_count = point_count
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"GreedyTreeNode(center={self.center}, radius={self.radius}, count={self.point_count})"
-
-
-def subtree_points(node: GreedyTreeNode) -> np.ndarray:
-    """Point ids under a node, in leaf order."""
-    out = np.empty(node.point_count, dtype=np.intp)
-    pos = 0
-    stack = [node]
-    while stack:
-        v = stack.pop()
-        if v.left is None:
-            out[pos] = v.center
-            pos += 1
-        else:
-            stack.append(v.right)
-            stack.append(v.left)
-    return out
-
-
-def iter_nodes(node: GreedyTreeNode) -> Iterator[GreedyTreeNode]:
-    stack = [node]
-    while stack:
-        v = stack.pop()
-        yield v
-        if v.left is not None:
-            stack.append(v.right)
-            stack.append(v.left)
-
-
-@dataclass
+@dataclass(eq=False)
 class GreedyTree:
-    """An immutable-by-convention ball tree over a greedy permutation.
+    """A ball tree over a greedy permutation, as preorder columns.
 
-    The empty tree (root None) exists only as the merge identity.  Trees
-    built or merged in-process remember their permutation; deserialized
-    trees do not.
+    Immutable by convention.  The empty tree (no nodes) exists only as
+    the merge identity.  Trees built or merged in-process remember their
+    permutation; deserialized trees do not.
     """
 
-    root: GreedyTreeNode | None
     metric: Metric
-    n: int
+    center: list[int]
+    radius: list[float]
+    count: list[int]
+    right: list[int]
+    first: list[int]
+    leaves: np.ndarray
     permutation: GreedyPermutation | None = field(default=None, repr=False)
 
     @classmethod
     def empty(cls, metric: Metric) -> "GreedyTree":
-        return cls(root=None, metric=metric, n=0)
+        return cls(metric, [], [], [], [], [], np.empty(0, dtype=np.intp))
+
+    @property
+    def n(self) -> int:
+        return len(self.leaves)
 
     def points(self) -> np.ndarray:
-        if self.root is None:
-            return np.empty(0, dtype=np.intp)
-        return subtree_points(self.root)
+        return self.leaves
 
-    def nodes(self) -> Iterator[GreedyTreeNode]:
-        if self.root is not None:
-            yield from iter_nodes(self.root)
+    def nodes(self) -> range:
+        return range(len(self.center))
+
+
+def subtree_points(t: GreedyTree, i: int) -> np.ndarray:
+    """Point ids under node ``i``, in leaf order (a view of ``t.leaves``)."""
+    f = t.first[i]
+    return t.leaves[f : f + t.count[i]]
 
 
 def build_greedy_tree(gp: GreedyPermutation, metric: Metric) -> GreedyTree:
-    """Binarize a greedy permutation and compute exact radii bottom-up."""
+    """Binarize a greedy permutation into preorder columns with exact radii.
+
+    The subtree of a center with k children is k internal nodes on that
+    center, its leaf, then the children's subtrees from the latest-ranked
+    to the earliest.  Each of those internal nodes covers a prefix of the
+    center's leaf slice, so one bulk distance call per center yields all
+    of its radii as running maxima.
+    """
     order = gp.order
     n = len(order)
     if n == 0:
         raise InputError("cannot build a tree from an empty permutation")
-    children: dict[int, list[int]] = {pid: [] for pid in order}
+    rank = {pid: i for i, pid in enumerate(order)}
+    up = [0] * n
+    children: list[list[int]] = [[] for _ in range(n)]
     for i in range(1, n):
-        parent = gp.parent[i]
-        if parent is None or parent not in children:
+        r = rank.get(gp.parent[i], n)
+        if r >= i:
             raise InputError(f"permutation entry {i} has no valid parent")
-        children[parent].append(order[i])
+        up[i] = r
+        children[r].append(i)
+    size = [1] * n
+    for i in range(n - 1, 0, -1):
+        size[up[i]] += size[i]
 
-    node_of: dict[int, GreedyTreeNode] = {}
-    pts_of: dict[int, np.ndarray] = {}
-    # Children of later-ranked centers are always complete before their
-    # parent folds, so one reverse pass suffices.
-    for i in range(n - 1, -1, -1):
-        c = order[i]
-        v = GreedyTreeNode(center=c, radius=0.0)
-        pts = np.asarray([c], dtype=np.intp)
-        for ch in reversed(children[c]):
-            right = node_of.pop(ch)
-            pts = np.concatenate([pts, pts_of.pop(ch)])
-            radius = float(metric.dist_many(c, pts).max())
-            v = GreedyTreeNode(center=c, radius=radius, left=v, right=right, point_count=pts.size)
-        node_of[c] = v
-        pts_of[c] = pts
-    root = node_of[order[0]]
-    return GreedyTree(root=root, metric=metric, n=n, permutation=gp)
+    total = 2 * n - 1
+    center = [0] * total
+    radius = [0.0] * total
+    count = [1] * total
+    right = [-1] * total
+    first = [0] * total
+    leaves = [0] * n
+    spans = []  # (center, first node, children, leaf offset, points) per center with children
+    todo = [(0, 0, 0)]  # (rank, node, leaf offset) of each subtree to lay out
+    while todo:
+        r, p, f = todo.pop()
+        c = order[r]
+        kids = children[r]
+        k = len(kids)
+        leaves[f] = c
+        center[p + k] = c
+        first[p + k] = f
+        q, g, cnt = p + k + 1, f + 1, 1
+        for j in range(k - 1, -1, -1):
+            ch = kids[j]
+            todo.append((ch, q, g))
+            cnt += size[ch]
+            center[p + j] = c
+            count[p + j] = cnt
+            right[p + j] = q
+            first[p + j] = f
+            q += 2 * size[ch] - 1
+            g += size[ch]
+        if k:
+            spans.append((c, p, k, f, cnt))
+
+    ids = np.asarray(leaves, dtype=np.intp)
+    for c, p, k, f, cnt in spans:
+        reach = np.maximum.accumulate(metric.dist_many(c, ids[f : f + cnt]))
+        radius[p : p + k] = reach[np.asarray(count[p : p + k]) - 1].tolist()
+    return GreedyTree(metric, center, radius, count, right, first, ids, permutation=gp)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +228,7 @@ def build_greedy_tree(gp: GreedyPermutation, metric: Metric) -> GreedyTree:
 
 
 class _Overlay:
-    """Read-only view of an input tree used to prune greedy updates.
+    """Per-merge pruning state over an input tree's nodes.
 
     Tracks, per node, the max nearest-predecessor distance over the
     still-uninserted points below it, together with the smallest point id
@@ -242,133 +237,110 @@ class _Overlay:
     exact, ties included, so fast merges match plain rebuilds node for node.
     """
 
-    __slots__ = ("centers", "radii", "lefts", "rights", "parents", "best_d", "best_id", "leaf_of")
+    __slots__ = ("tree", "best_d", "best_id", "leaf_pos")
 
-    def __init__(self, root: GreedyTreeNode) -> None:
-        nodes: list[GreedyTreeNode] = []
-        parents: list[int] = []
-        stack = [(root, -1)]
-        while stack:
-            v, par = stack.pop()
-            idx = len(nodes)
-            nodes.append(v)
-            parents.append(par)
-            if v.left is not None:
-                stack.append((v.right, idx))
-                stack.append((v.left, idx))
-        k = len(nodes)
-        self.centers = [v.center for v in nodes]
-        self.radii = [v.radius for v in nodes]
-        self.lefts = np.full(k, -1, dtype=np.intp)
-        self.rights = np.full(k, -1, dtype=np.intp)
-        self.parents = np.asarray(parents, dtype=np.intp)
-        # Children always get larger indices than their parent in the
-        # stack order above; recover links by matching parent indices.
-        seen: dict[int, int] = {}
-        for idx in range(1, k):
-            par = parents[idx]
-            if par in seen:
-                self.rights[par] = idx
-            else:
-                self.lefts[par] = idx
-                seen[par] = idx
-        self.best_d = np.zeros(k)
-        self.best_id = np.full(k, -1, dtype=np.intp)
-        self.leaf_of = {nodes[i].center: i for i in range(k) if nodes[i].left is None}
-
-    def _combine(self, idx: int) -> None:
-        l, r = self.lefts[idx], self.rights[idx]
-        dl, dr = self.best_d[l], self.best_d[r]
-        if dl > dr:
-            self.best_d[idx], self.best_id[idx] = dl, self.best_id[l]
-        elif dr > dl:
-            self.best_d[idx], self.best_id[idx] = dr, self.best_id[r]
-        else:
-            self.best_d[idx] = dl
-            il, ir = self.best_id[l], self.best_id[r]
-            self.best_id[idx] = ir if il < 0 else il if ir < 0 else min(il, ir)
-
-    def init_from(self, mind: np.ndarray) -> None:
-        for idx in range(len(self.centers) - 1, -1, -1):
-            if self.lefts[idx] < 0:
-                pid = self.centers[idx]
-                if mind[pid] == -np.inf:
-                    self.best_d[idx], self.best_id[idx] = -np.inf, -1
+    def __init__(self, t: GreedyTree, mind: list[float]) -> None:
+        self.tree = t
+        self.leaf_pos = dict(zip(t.leaves.tolist(), range(t.n)))
+        k = len(t.center)
+        self.best_d = [0.0] * k
+        self.best_id = [-1] * k
+        for i in range(k - 1, -1, -1):
+            if t.right[i] < 0:
+                pid = t.center[i]
+                if mind[pid] != -math.inf:
+                    self.best_d[i], self.best_id[i] = mind[pid], pid
                 else:
-                    self.best_d[idx], self.best_id[idx] = mind[pid], pid
+                    self.best_d[i] = -math.inf
             else:
-                self._combine(idx)
+                self._combine(i)
+
+    def _combine(self, i: int) -> None:
+        l, r = i + 1, self.tree.right[i]
+        best_d, best_id = self.best_d, self.best_id
+        dl, dr = best_d[l], best_d[r]
+        if dl > dr:
+            best_d[i], best_id[i] = dl, best_id[l]
+        elif dr > dl:
+            best_d[i], best_id[i] = dr, best_id[r]
+        else:
+            best_d[i] = dl
+            il, ir = best_id[l], best_id[r]
+            best_id[i] = ir if il < 0 else il if ir < 0 else min(il, ir)
 
     def mark_inserted(self, pid: int) -> None:
-        idx = self.leaf_of[pid]
-        self.best_d[idx], self.best_id[idx] = -np.inf, -1
-        idx = self.parents[idx]
-        while idx >= 0:
-            self._combine(idx)
-            idx = self.parents[idx]
+        right, first = self.tree.right, self.tree.first
+        pos = self.leaf_pos[pid]
+        path = []
+        i = 0
+        while right[i] >= 0:
+            path.append(i)
+            i = right[i] if pos >= first[right[i]] else i + 1
+        self.best_d[i], self.best_id[i] = -math.inf, -1
+        for i in reversed(path):
+            self._combine(i)
 
-    def update(self, q: int, mind: np.ndarray, parent: np.ndarray, metric: Metric, cache: dict[int, float]) -> None:
+    def update(self, q: int, mind: list[float], parent: list[int], metric: Metric, cache: dict[int, float]) -> None:
         """Lower nearest-predecessor distances after inserting q."""
+        center, radius, right = self.tree.center, self.tree.radius, self.tree.right
+        best_d = self.best_d
         stack = [(0, False)]
         while stack:
-            idx, ready = stack.pop()
-            if self.best_d[idx] == -np.inf:
+            i, ready = stack.pop()
+            if best_d[i] == -math.inf:
                 continue
             if ready:
-                self._combine(idx)
+                self._combine(i)
                 continue
-            c = self.centers[idx]
+            c = center[i]
             d = cache.get(c)
             if d is None:
                 d = metric.dist(q, c)
                 cache[c] = d
-            if self.lefts[idx] < 0:
+            r = right[i]
+            if r < 0:
                 cur = mind[c]
                 if d < cur or (d == cur and q < parent[c]):
                     if d < cur:
                         mind[c] = d
-                        self.best_d[idx] = d
+                        best_d[i] = d
                     parent[c] = q
                 continue
-            if d - self.radii[idx] > self.best_d[idx]:
+            if d - radius[i] > best_d[i]:
                 continue  # no point below can improve, even on ties
-            stack.append((idx, True))
-            stack.append((self.rights[idx], False))
-            stack.append((self.lefts[idx], False))
+            stack.append((i, True))
+            stack.append((r, False))
+            stack.append((i + 1, False))
 
 
 def _merged_permutation(a: GreedyTree, b: GreedyTree, metric: Metric, seed_id: int) -> GreedyPermutation:
-    pa, pb = a.points(), b.points()
+    pa, pb = a.leaves, b.leaves
     size = int(max(pa.max(), pb.max())) + 1
-    mind = np.full(size, np.nan)
-    parent = np.full(size, -1, dtype=np.intp)
-    for pts, other in ((pa, pb), (pb, pa)):
-        row = metric.dist_many(seed_id, pts)
-        mind[pts] = row
-        parent[pts] = seed_id
-    mind[seed_id] = -np.inf
+    mind_arr = np.full(size, np.nan)
+    parent_arr = np.full(size, -1, dtype=np.intp)
+    for pts in (pa, pb):
+        mind_arr[pts] = metric.dist_many(seed_id, pts)
+        parent_arr[pts] = seed_id
+    mind_arr[seed_id] = -np.inf
+    mind, parent = mind_arr.tolist(), parent_arr.tolist()
 
-    ov_a, ov_b = _Overlay(a.root), _Overlay(b.root)
-    ov_a.init_from(mind)
-    ov_b.init_from(mind)
-
+    ov_a, ov_b = _Overlay(a, mind), _Overlay(b, mind)
     order = [seed_id]
     radii = [math.inf]
     parents: list[int | None] = [None]
-    total = a.n + b.n
-    for _ in range(total - 1):
+    for _ in range(a.n + b.n - 1):
         da, ia = ov_a.best_d[0], ov_a.best_id[0]
         db, ib = ov_b.best_d[0], ov_b.best_id[0]
         if da > db:
-            q = int(ia)
+            q = ia
         elif db > da:
-            q = int(ib)
+            q = ib
         else:
-            q = int(min(i for i in (ia, ib) if i >= 0))
+            q = min(i for i in (ia, ib) if i >= 0)
         order.append(q)
-        radii.append(float(mind[q]))
-        parents.append(int(parent[q]))
-        (ov_a if q in ov_a.leaf_of else ov_b).mark_inserted(q)
+        radii.append(mind[q])
+        parents.append(parent[q])
+        (ov_a if q in ov_a.leaf_pos else ov_b).mark_inserted(q)
         cache: dict[int, float] = {}
         ov_a.update(q, mind, parent, metric, cache)
         ov_b.update(q, mind, parent, metric, cache)
@@ -388,23 +360,23 @@ def merge(a: GreedyTree, b: GreedyTree, *, mode: str = "fast") -> GreedyTree:
         raise InputError(f"unknown merge mode {mode!r}")
     if a.metric is not b.metric:
         raise InputError("metric mismatch: merged trees must share one metric object")
-    if a.root is None:
+    if a.n == 0:
         return b
-    if b.root is None:
+    if b.n == 0:
         return a
-    pa, pb = a.points(), b.points()
+    pa, pb = a.leaves, b.leaves
     if set(pa.tolist()) & set(pb.tolist()):
         raise InputError("merged trees must cover disjoint point sets")
     metric = a.metric
 
-    ecc_a = max(a.root.radius, float(metric.dist_many(a.root.center, pb).max()))
-    ecc_b = max(b.root.radius, float(metric.dist_many(b.root.center, pa).max()))
+    ecc_a = max(a.radius[0], float(metric.dist_many(a.center[0], pb).max()))
+    ecc_b = max(b.radius[0], float(metric.dist_many(b.center[0], pa).max()))
     if ecc_a > ecc_b:
-        seed_id = a.root.center
+        seed_id = a.center[0]
     elif ecc_b > ecc_a:
-        seed_id = b.root.center
+        seed_id = b.center[0]
     else:
-        seed_id = min(a.root.center, b.root.center)
+        seed_id = min(a.center[0], b.center[0])
 
     if mode == "rebuild":
         union = np.sort(np.concatenate([pa, pb]))
@@ -441,81 +413,66 @@ class VerificationReport:
 
 
 def verify_greedy_tree(t: GreedyTree, metric: Metric | None = None) -> VerificationReport:
-    """Exhaustively check structural and radius invariants (O(n^2))."""
+    """Exhaustively check structural and radius invariants (O(n^2)).
+
+    Violations are reported as (node, message) with the node's preorder
+    index, or "tree" for whole-tree properties.
+    """
     metric = metric if metric is not None else t.metric
     report = VerificationReport()
-    if t.root is None:
-        if t.n != 0:
-            report.violations.append(("root", f"empty tree claims n={t.n}"))
+    total = len(t.center)
+    columns = (t.radius, t.count, t.right, t.first)
+    if any(len(col) != total for col in columns) or total != max(2 * t.n - 1, 0):
+        report.violations.append(("tree", f"{total} nodes and {t.n} leaves do not form a binary tree"))
+        return report
+    if total == 0:
         return report
 
-    # Aliased node objects make the structure a DAG; the bottom-up pass
-    # below assumes a tree, so that corruption aborts early.
-    seen: set[int] = set()
-    walk: list[tuple[GreedyTreeNode, str]] = [(t.root, "root")]
-    while walk:
-        v, path = walk.pop()
-        if id(v) in seen:
-            report.violations.append((path, "node object linked from two places"))
-            return report
-        seen.add(id(v))
-        if v.left is not None and v.right is not None:
-            walk.append((v.right, path + ".R"))
-            walk.append((v.left, path + ".L"))
-
-    # Bottom-up point sets via an explicit post-order walk.
-    pts_of: dict[int, np.ndarray] = {}
-    stack: list[tuple[GreedyTreeNode, str, bool]] = [(t.root, "root", False)]
-    while stack:
-        v, path, ready = stack.pop()
-        if not ready:
-            if (v.left is None) != (v.right is None):
-                report.violations.append((path, "node has exactly one child"))
-                pts_of[id(v)] = np.asarray([v.center], dtype=np.intp)
-                continue
-            if v.left is None:
-                report.checked_nodes += 1
-                if v.radius != 0.0:
-                    report.violations.append((path, f"leaf radius {v.radius} != 0"))
-                if v.point_count != 1:
-                    report.violations.append((path, f"leaf point_count {v.point_count} != 1"))
-                pts_of[id(v)] = np.asarray([v.center], dtype=np.intp)
-                continue
-            stack.append((v, path, True))
-            stack.append((v.right, path + ".R", False))
-            stack.append((v.left, path + ".L", False))
-            continue
-
+    # Reverse preorder checks every child before its parent; a broken
+    # link or leaf slice ends the scan before anything indexes through it.
+    for i in range(total - 1, -1, -1):
         report.checked_nodes += 1
-        lp = pts_of.pop(id(v.left))
-        rp = pts_of.pop(id(v.right))
-        if np.intersect1d(lp, rp).size:
-            report.violations.append((path, "child point sets overlap"))
-        pts = np.concatenate([lp, rp])
-        pts_of[id(v)] = pts
-        if v.point_count != pts.size:
-            report.violations.append((path, f"point_count {v.point_count} != {pts.size}"))
-        if v.left.center != v.center:
-            report.violations.append((path, f"left child center {v.left.center} != {v.center}"))
-        maxd = float(metric.dist_many(v.center, pts).max())
-        if v.radius < maxd:
-            report.violations.append((path, f"radius < max subtree distance ({v.radius} < {maxd})"))
-        elif v.radius > maxd:
-            report.violations.append((path, f"radius exceeds max subtree distance ({v.radius} > {maxd})"))
-        if v.radius < metric.dist(v.center, v.right.center):
-            report.violations.append((path, "radius below distance to right child center"))
-        if v.left.radius > v.radius:
-            report.violations.append((path, f"left child radius {v.left.radius} > {v.radius}"))
-        if v.right.radius > v.radius:
+        where = str(i)
+        c, rad, cnt, r, f = t.center[i], t.radius[i], t.count[i], t.right[i], t.first[i]
+        if not 0 <= f <= t.n - cnt:
+            report.violations.append((where, f"leaf slice [{f}, {f + cnt}) outside {t.n} leaves"))
+            return report
+        if r < 0:
+            if rad != 0.0:
+                report.violations.append((where, f"leaf radius {rad} != 0"))
+            if cnt != 1:
+                report.violations.append((where, f"leaf count {cnt} != 1"))
+            if t.leaves[f] != c:
+                report.violations.append((where, f"leaf center {c} is not leaves[{f}] = {t.leaves[f]}"))
+            continue
+        if not i + 1 < r < total or r != i + 2 * t.count[i + 1]:
+            report.violations.append((where, f"right link {r} disagrees with the left subtree"))
+            return report
+        if cnt != t.count[i + 1] + t.count[r]:
+            report.violations.append((where, f"count {cnt} != {t.count[i + 1]} + {t.count[r]}"))
+        if t.first[i + 1] != f or t.first[r] != f + t.count[i + 1]:
+            report.violations.append((where, "children's leaf slices do not split the node's"))
+        if t.center[i + 1] != c:
+            report.violations.append((where, f"left child center {t.center[i + 1]} != {c}"))
+        maxd = float(metric.dist_many(c, subtree_points(t, i)).max())
+        if rad < maxd:
+            report.violations.append((where, f"radius < max subtree distance ({rad} < {maxd})"))
+        elif rad > maxd:
+            report.violations.append((where, f"radius exceeds max subtree distance ({rad} > {maxd})"))
+        if rad < metric.dist(c, t.center[r]):
+            report.violations.append((where, "radius below distance to right child center"))
+        if t.radius[i + 1] > rad:
+            report.violations.append((where, f"left child radius {t.radius[i + 1]} > {rad}"))
+        if t.radius[r] > rad:
             report.radius_inversions += 1
 
-    root_pts = pts_of[id(t.root)]
-    if root_pts.size != t.n:
-        report.violations.append(("root", f"{root_pts.size} leaves but tree claims n={t.n}"))
-    if len(set(root_pts.tolist())) != root_pts.size:
-        report.violations.append(("root", "a point id appears in more than one leaf"))
-    if t.permutation is not None and set(t.permutation.order) != set(root_pts.tolist()):
-        report.violations.append(("root", "permutation and leaves disagree on the point set"))
+    if t.count[0] != t.n:
+        report.violations.append(("tree", f"root count {t.count[0]} but {t.n} leaves"))
+    pts = t.leaves.tolist()
+    if len(set(pts)) != len(pts):
+        report.violations.append(("tree", "a point id appears in more than one leaf"))
+    if t.permutation is not None and set(t.permutation.order) != set(pts):
+        report.violations.append(("tree", "permutation and leaves disagree on the point set"))
     return report
 
 
@@ -527,66 +484,86 @@ TREE_FORMAT = "greedy-tree"
 TREE_VERSION = 1
 
 
-def tree_to_obj(t: GreedyTree, node_extra: dict[int, Any] | None = None) -> dict[str, Any]:
-    """Encode as a flat preorder node array with index links.
+def tree_to_obj(t: GreedyTree, node_extra: Sequence[Any] | None = None) -> dict[str, Any]:
+    """Encode as a preorder node array with explicit child links.
 
     Radii survive bit-exactly because JSON floats use the shortest
     round-tripping decimal form.  ``node_extra`` attaches an extra field
-    (used for cascaded auxiliary structures) keyed by ``id(node)``.
+    (used for cascaded auxiliary structures), one entry per node.
     """
     nodes: list[dict[str, Any]] = []
-    if t.root is not None:
-        stack: list[tuple[GreedyTreeNode, int, str]] = [(t.root, -1, "")]
-        while stack:
-            v, parent_idx, key = stack.pop()
-            idx = len(nodes)
-            rec: dict[str, Any] = {"center": int(v.center), "radius": float(v.radius)}
-            if node_extra is not None and id(v) in node_extra:
-                rec["aux"] = node_extra[id(v)]
-            nodes.append(rec)
-            if parent_idx >= 0:
-                nodes[parent_idx][key] = idx
-            if v.left is not None:
-                # Right pushed first so the left subtree serializes first.
-                stack.append((v.right, idx, "right"))
-                stack.append((v.left, idx, "left"))
+    for i, (c, rad, r) in enumerate(zip(t.center, t.radius, t.right)):
+        rec: dict[str, Any] = {"center": c, "radius": rad}
+        if node_extra is not None:
+            rec["aux"] = node_extra[i]
+        if r >= 0:
+            rec["left"] = i + 1
+            rec["right"] = r
+        nodes.append(rec)
     return {"format": TREE_FORMAT, "version": TREE_VERSION, "n": t.n, "nodes": nodes}
 
 
 def tree_from_obj(obj: dict[str, Any], metric: Metric) -> tuple[GreedyTree, list[dict[str, Any]]]:
-    """Decode a tree object; also returns the raw node records in order.
+    """Decode and validate a tree object; also returns the raw node records.
 
     The record list lets callers recover per-node extras ("aux") aligned
-    with the rebuilt nodes.
+    with the decoded nodes.  One reverse pass checks that the links form
+    the preorder layout, that left children keep their parent's center,
+    that centers are point ids of ``metric`` and that radii are finite,
+    nonnegative and zero at leaves.  It does not recompute radii.
     """
     if not isinstance(obj, dict) or obj.get("format") != TREE_FORMAT:
         raise InputError(f"not a {TREE_FORMAT} object")
     if obj.get("version") != TREE_VERSION:
         raise InputError(f"unsupported {TREE_FORMAT} version {obj.get('version')!r}")
     records = obj.get("nodes")
-    if not records:
-        raise InputError("serialized tree has no nodes")
-    total = len(records)
-    built: list[GreedyTreeNode] = [
-        GreedyTreeNode(center=int(rec["center"]), radius=float(rec["radius"])) for rec in records
-    ]
-    # Preorder puts children after their parent, so one reverse pass
-    # links subtrees with point counts already final.
-    for idx in range(total - 1, -1, -1):
-        rec = records[idx]
-        has_l, has_r = "left" in rec, "right" in rec
-        if has_l != has_r:
-            raise InputError(f"node {idx} has exactly one child link")
-        if has_l:
-            li, ri = rec["left"], rec["right"]
-            if not (idx < li < total and idx < ri < total):
-                raise InputError(f"node {idx} has child links outside preorder range")
-            node = built[idx]
-            node.left = built[li]
-            node.right = built[ri]
-            node.point_count = node.left.point_count + node.right.point_count
-    root = built[0]
     n = obj.get("n")
-    if n != root.point_count:
-        raise InputError(f"serialized tree claims n={n} but has {root.point_count} leaves")
-    return GreedyTree(root=root, metric=metric, n=root.point_count), records
+    if not isinstance(records, list) or not records:
+        raise InputError("serialized tree has no nodes")
+    if type(n) is not int or len(records) != 2 * n - 1:
+        raise InputError(f"serialized tree claims n={n!r} but has {len(records)} nodes")
+    total = len(records)
+    size = len(metric)
+    center = [0] * total
+    radius = [0.0] * total
+    count = [1] * total
+    right = [-1] * total
+    first = [0] * total
+    leaves: list[int] = []
+    for i in range(total - 1, -1, -1):
+        rec = records[i]
+        if type(rec) is not dict:
+            raise InputError(f"node {i} is not an object")
+        c = rec.get("center")
+        rad = rec.get("radius")
+        if type(c) is not int or not 0 <= c < size:
+            raise InputError(f"node {i} center {c!r} is not a point id in [0, {size})")
+        if type(rad) is not float:
+            if type(rad) is not int:
+                raise InputError(f"node {i} radius {rad!r} is not a number")
+            rad = float(rad)
+        if not 0.0 <= rad < math.inf:
+            raise InputError(f"node {i} radius {rad!r} is not finite and nonnegative")
+        center[i] = c
+        radius[i] = rad
+        if "left" not in rec and "right" not in rec:
+            if rad != 0.0:
+                raise InputError(f"leaf node {i} has radius {rad} != 0")
+            leaves.append(c)
+            first[i] = n - len(leaves)
+            continue
+        r = rec.get("right")
+        if rec.get("left") != i + 1 or type(r) is not int or not i + 1 < r < total:
+            raise InputError(f"node {i} has child links outside the preorder layout")
+        if r != i + 2 * count[i + 1]:
+            raise InputError(f"node {i} right link {r} disagrees with the left subtree's count")
+        if center[i + 1] != c:
+            raise InputError(f"node {i} and its left child have different centers")
+        right[i] = r
+        count[i] = count[i + 1] + count[r]
+        first[i] = first[i + 1]
+    if count[0] != n:
+        raise InputError(f"serialized tree claims n={n} but has {count[0]} leaves")
+    leaves.reverse()
+    tree = GreedyTree(metric, center, radius, count, right, first, np.asarray(leaves, dtype=np.intp))
+    return tree, records

@@ -52,7 +52,7 @@ def walk_structures(struct):
     yield struct.primary, set(struct.primary.points().tolist())
     for v in struct.primary.nodes():
         sub = struct.aux_of(v)
-        expected = set(subtree_points(v).tolist())
+        expected = set(subtree_points(struct.primary, v).tolist())
         if isinstance(sub, GreedyTree):
             yield sub, expected
         else:
@@ -150,7 +150,7 @@ def test_aux_leaf_totals_accounting():
     assert totals[0] == n
     # level-1 auxiliaries hold exactly their node's points, so their leaf
     # count sums to the sum of point counts over all primary nodes
-    want = sum(v.point_count for v in grt.primary.nodes())
+    want = sum(grt.primary.count)
     assert totals[1] == want
     assert set(totals) == {0, 1}
 

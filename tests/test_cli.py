@@ -149,21 +149,6 @@ def test_malformed_inputs_exit_2(workspace, capsys, tmp_path):
     assert code == 0
 
 
-def test_results_are_deterministic_across_threads(workspace, capsys):
-    idx = workspace / "i.idx"
-    run(capsys, "build", "--dataset", str(workspace / "d.jsonl"),
-        "--factors", str(workspace / "f.json"), "--out", str(idx))
-    outs = []
-    for name, threads in (("a", "1"), ("b", "4"), ("c", "4")):
-        res = workspace / f"{name}.jsonl"
-        code, _, _ = run(capsys, "query", "--index", str(idx),
-                         "--workload", str(workspace / "w.jsonl"),
-                         "--out", str(res), "--threads", threads)
-        assert code == 0
-        outs.append(res.read_bytes())
-    assert outs[0] == outs[1] == outs[2]
-
-
 def test_single_factor_structures_serialize_identically(tmp_path, capsys):
     code, _, _ = run(
         capsys, "gen",
@@ -213,6 +198,73 @@ def test_index_roundtrip_and_corruption(workspace, capsys, tmp_path):
                      "--workload", str(workspace / "w.jsonl"),
                      "--out", str(tmp_path / "r.jsonl"))
     assert code == 2
+
+
+def _drop_factors(obj):
+    del obj["factors"]
+
+
+def _far_center(obj):
+    obj["tree"]["primary"]["nodes"][3]["center"] = 10**6
+
+
+def _nan_radius(obj):
+    obj["tree"]["primary"]["nodes"][0]["radius"] = float("nan")
+
+
+def _nan_aux_radius(obj):
+    obj["tree"]["primary"]["nodes"][1]["aux"]["nodes"][0]["radius"] = float("nan")
+
+
+def _coords_not_columns(obj):
+    obj["coords"] = {name: 1.0 for name in obj["coords"]}
+
+
+def _tree_missing(obj):
+    del obj["tree"]
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_drop_factors, _far_center, _nan_radius, _nan_aux_radius, _coords_not_columns, _tree_missing]
+)
+def test_corrupt_index_exits_2(workspace, capsys, tmp_path, corrupt):
+    idx = workspace / "i.idx"
+    run(capsys, "build", "--dataset", str(workspace / "d.jsonl"),
+        "--factors", str(workspace / "f.json"), "--structure", "grt", "--out", str(idx))
+    obj = json.loads(idx.read_text())
+    corrupt(obj)
+    bad = tmp_path / "bad.idx"
+    bad.write_text(json.dumps(obj))
+    res = tmp_path / "r.jsonl"
+    code, _, err = run(capsys, "query", "--index", str(bad),
+                       "--workload", str(workspace / "w.jsonl"), "--out", str(res))
+    assert code == 2 and "error:" in err
+    assert not res.exists()
+
+
+def test_non_finite_inputs_exit_2(workspace, capsys, tmp_path):
+    lines = (workspace / "d.jsonl").read_text().splitlines()
+    row = json.loads(lines[5])
+    row["coords"]["f1"] = float("nan")
+    data = tmp_path / "nan.jsonl"
+    data.write_text("\n".join(lines[:5] + [json.dumps(row)] + lines[6:]) + "\n")
+    idx = tmp_path / "nan.idx"
+    code, _, err = run(capsys, "build", "--dataset", str(data),
+                       "--factors", str(workspace / "f.json"), "--out", str(idx))
+    assert code == 2 and "non-finite" in err
+    assert not idx.exists()
+
+    idx = tmp_path / "ok.idx"
+    run(capsys, "build", "--dataset", str(workspace / "d.jsonl"),
+        "--factors", str(workspace / "f.json"), "--out", str(idx))
+    query = json.loads((workspace / "w.jsonl").read_text().splitlines()[0])
+    query["radii"][0] = float("nan")
+    w = tmp_path / "nan-w.jsonl"
+    w.write_text(json.dumps(query) + "\n")
+    res = tmp_path / "r.jsonl"
+    code, _, err = run(capsys, "query", "--index", str(idx), "--workload", str(w), "--out", str(res))
+    assert code == 2 and "radii" in err
+    assert not res.exists()
 
 
 def test_bench_csv_shape(tmp_path, capsys):

@@ -88,6 +88,25 @@ def test_payload_coercion_errors():
         Dataset.from_records([FactorSpec("x", "abs1d")], [(0, {}, "a")])
 
 
+@pytest.mark.parametrize(
+    "spec,value",
+    [
+        (FactorSpec("x", "abs1d"), float("nan")),
+        (FactorSpec("x", "abs1d"), float("-inf")),
+        (FactorSpec("x", "abs1d"), 10**400),
+        (FactorSpec("v", "l2", dim=2), [0.0, float("inf")]),
+        (FactorSpec("v", "l1", dim=2), [float("nan"), 1.0]),
+    ],
+)
+def test_non_finite_coordinates_are_rejected(tmp_path, spec, value):
+    with pytest.raises(InputError):
+        Dataset.from_records([spec], [(0, {spec.name: value}, "a")])
+    w = tmp_path / "w.jsonl"
+    w.write_text(json.dumps({"q": {spec.name: value}, "radii": [1.0]}) + "\n")
+    with pytest.raises(InputError):
+        load_workload(w, [spec])
+
+
 def test_dataset_file_roundtrip(tmp_path):
     specs = [FactorSpec("x", "abs1d"), FactorSpec("s", "levenshtein")]
     ds = Dataset(specs, {"x": [0.5, 1.5], "s": ["ab", "ba"]})

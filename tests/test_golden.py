@@ -1,0 +1,45 @@
+"""Golden files: fixed CLI runs must write byte-identical index and results.
+
+The digests below pin the on-disk formats and the greedy tie rules across
+refactors.  A change that alters one of them changes a file format or an
+answer and must say so.
+"""
+
+import hashlib
+
+import pytest
+
+from greedyrange.cli import main
+
+CASES = {
+    "grt-l2xabs": (
+        ["--factors", "l2:2,abs1d", "--generator", "gaussian", "--n", "64"],
+        "grt",
+        "781dce3dac453d44508435b577fc681be2e40bef2f1d0d279861d6526fac0bea",
+        "e1bcd8182d09e51faf5b198910ad5a70ceaf7f15c4da64dedfdddd413124030b",
+    ),
+    "ptree-lev": (
+        ["--factors", "levenshtein,abs1d", "--n", "48"],
+        "product-tree",
+        "e0fe78dba4b66b2a839b26b9161739f841c5c8594b06785be9687d17bd4545bb",
+        "def61e6cb653a97d0ab9b377ce5899703addda43f400f185bcd2a40c14ad5dd5",
+    ),
+}
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_outputs_are_byte_identical(case, tmp_path, capsys):
+    gen_args, structure, index_sha, results_sha = CASES[case]
+    d, f, w = tmp_path / "d.jsonl", tmp_path / "f.json", tmp_path / "w.jsonl"
+    idx, res = tmp_path / "index.json", tmp_path / "results.jsonl"
+    assert main(["gen", *gen_args, "--seed", "3", "--queries", "6",
+                 "--dataset-out", str(d), "--factors-out", str(f), "--workload-out", str(w)]) == 0
+    assert main(["build", "--dataset", str(d), "--factors", str(f),
+                 "--structure", structure, "--out", str(idx)]) == 0
+    assert main(["query", "--index", str(idx), "--workload", str(w), "--out", str(res)]) == 0
+    capsys.readouterr()
+    assert (sha256(idx), sha256(res)) == (index_sha, results_sha)

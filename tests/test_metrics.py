@@ -2,7 +2,6 @@
 
 import math
 import random
-import threading
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ import helpers
 from greedyrange import (
     AbsDiffMetric,
     ConfigurationError,
-    EvalCounter,
     InputError,
     LevenshteinMetric,
     MinkowskiMetric,
@@ -159,7 +157,7 @@ def test_eval_counting():
     assert m.evals == 1
     m.dist_many(0, [0, 1, 2])
     assert m.evals == 4
-    m.counter.reset()
+    m.evals = 0
     assert m.evals == 0
 
 
@@ -171,26 +169,6 @@ def test_product_charges_every_factor():
     pm.dist_many(0, [0, 1])
     assert xs.evals == 3 and ys.evals == 3
     assert pm.evals == 6
-
-
-def test_eval_counter_thread_safety():
-    c = EvalCounter()
-    k = 8
-    per = 20_000
-
-    def work():
-        for _ in range(per):
-            c.add(1)
-
-    ts = [threading.Thread(target=work) for _ in range(k)]
-    for t in ts:
-        t.start()
-    for t in ts:
-        t.join()
-    # counts from finished threads must not be lost
-    assert c.total == k * per
-    c.reset()
-    assert c.total == 0
 
 
 def test_dataset_summary_desk_values():

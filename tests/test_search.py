@@ -1,5 +1,6 @@
 """Product range search: the sandwich contract and its edge cases."""
 
+import math
 import random
 
 import pytest
@@ -125,6 +126,12 @@ def test_query_validation():
         ProductQuery(coords=(0.0,), radii=(0.0,), epsilon=0.0)
     with pytest.raises(InputError):
         ProductQuery(coords=(0.0,), radii=(1.0,), epsilon=-0.5)
+    with pytest.raises(InputError):
+        ProductQuery(coords=(0.0,), radii=(math.nan,), epsilon=0.0)
+    with pytest.raises(InputError):
+        ProductQuery(coords=(0.0,), radii=(math.inf,), epsilon=0.0)
+    with pytest.raises(InputError):
+        ProductQuery(coords=(0.0,), radii=(1.0,), epsilon=math.inf)
     q = ProductQuery(coords=(0.0, 0.0), radii=(2.0, 4.0), epsilon=0.0)
     assert q.aspect_ratio == 2.0
 
@@ -182,7 +189,7 @@ def test_range_cover_invariants():
             cover, _ = range_cover(t, q, r, eps)
             seen: list[int] = []
             for v in cover.nodes:
-                pts = subtree_points(v).tolist()
+                pts = subtree_points(t, v).tolist()
                 seen.extend(pts)
                 assert all(abs(values[p] - q) <= (1 + eps) * r + 1e-12 for p in pts)
             assert len(seen) == len(set(seen))  # disjoint
@@ -201,6 +208,10 @@ def test_range_cover_validation():
         range_cover(t, 0.0, 0.0, 0.0)
     with pytest.raises(InputError):
         range_cover(t, 0.0, 1.0, -1.0)
+    with pytest.raises(InputError):
+        range_cover(t, 0.0, math.nan, 0.0)
+    with pytest.raises(InputError):
+        range_cover(t, 0.0, 1.0, math.nan)
 
 
 def test_cover_works_on_product_metric_as_single_factor():
@@ -208,5 +219,5 @@ def test_cover_works_on_product_metric_as_single_factor():
     t = build_greedy_tree(greedy_permutation(list(range(40)), ds.product()), ds.product())
     cover, _ = range_cover(t, (0.5, 0.5), 0.3, 0.5)
     for v in cover.nodes:
-        for p in subtree_points(v).tolist():
+        for p in subtree_points(t, v).tolist():
             assert ds.product().dist_point((0.5, 0.5), p) <= 1.5 * 0.3 + 1e-12

@@ -130,22 +130,21 @@ def test_permutation_validity_property(values):
 def test_desk_tree_shape():
     m = line_metric([0.0, 10.0, 4.0, 6.0])
     t = build_greedy_tree(greedy_permutation([0, 1, 2, 3], m), m)
-    root = t.root
-    assert (root.center, root.radius, root.point_count) == (0, 10.0, 4)
-    assert root.right.is_leaf and root.right.center == 1
-    inner = root.left
-    assert (inner.center, inner.radius, inner.point_count) == (0, 6.0, 3)
-    assert inner.left.is_leaf and inner.left.center == 0
-    sub = inner.right
-    assert (sub.center, sub.radius, sub.point_count) == (2, 2.0, 2)
-    assert {sub.left.center, sub.right.center} == {2, 3}
+    # preorder: root (0), its left child (0), leaf 0, the subtree of 2
+    # (node 2, leaf 2, leaf 3), then the root's right child, leaf 1
+    assert t.center == [0, 0, 0, 2, 2, 3, 1]
+    assert t.radius == [10.0, 6.0, 0.0, 2.0, 0.0, 0.0, 0.0]
+    assert t.count == [4, 3, 1, 2, 1, 1, 1]
+    assert t.right == [6, 3, -1, 5, -1, -1, -1]
+    assert t.first == [0, 0, 0, 1, 1, 2, 3]
+    assert t.leaves.tolist() == [0, 2, 3, 1]
     assert verify_greedy_tree(t).ok
 
 
 def test_single_point_tree():
     m = line_metric([3.0])
     t = build_greedy_tree(greedy_permutation([0], m), m)
-    assert t.root.is_leaf and t.root.radius == 0.0 and t.n == 1
+    assert t.right == [-1] and t.radius == [0.0] and t.n == 1
     assert verify_greedy_tree(t).ok
 
 
@@ -156,12 +155,12 @@ def test_leaves_cover_points_once():
     t = build_greedy_tree(greedy_permutation(list(range(n)), m), m)
     pts = t.points()
     assert sorted(pts.tolist()) == list(range(n))
-    leaves = [v for v in t.nodes() if v.is_leaf]
-    assert len(leaves) == n
-    internals = [v for v in t.nodes() if not v.is_leaf]
+    leaves = [v for v in t.nodes() if t.right[v] < 0]
+    assert sorted(t.center[v] for v in leaves) == list(range(n))
+    internals = [v for v in t.nodes() if t.right[v] >= 0]
     assert len(internals) == n - 1
     for v in internals:
-        assert v.left.center == v.center  # left child keeps the center
+        assert t.center[v + 1] == t.center[v]  # left child keeps the center
 
 
 def test_radii_are_exact_subtree_maxima():
@@ -173,9 +172,9 @@ def test_radii_are_exact_subtree_maxima():
     from greedyrange.tree import subtree_points
 
     for v in t.nodes():
-        want = max(abs(values[v.center] - values[p]) for p in subtree_points(v).tolist())
-        assert v.radius == pytest.approx(want, abs=1e-12)
-        assert v.left is None or v.left.radius <= v.radius
+        want = max(abs(values[t.center[v]] - values[p]) for p in subtree_points(t, v).tolist())
+        assert t.radius[v] == pytest.approx(want, abs=1e-12)
+        assert t.right[v] < 0 or t.radius[v + 1] <= t.radius[v]
 
 
 def test_right_child_radius_can_exceed_parent():
@@ -192,8 +191,8 @@ def test_right_child_radius_can_exceed_parent():
     rep = verify_greedy_tree(t)
     assert rep.ok
     assert rep.radius_inversions == 1
-    assert t.root.radius == 1.0
-    assert t.root.right.radius > 1.5
+    assert t.radius[0] == 1.0
+    assert t.radius[t.right[0]] > 1.5
 
 
 # ---------------------------------------------------------------------------
@@ -208,13 +207,13 @@ def _fresh_tree(n=24, seed=2):
 
 
 def _some_internal(t):
-    return next(v for v in t.nodes() if not v.is_leaf)
+    return next(v for v in t.nodes() if t.right[v] >= 0)
 
 
 def test_verify_catches_overstated_radius():
     t = _fresh_tree()
     v = _some_internal(t)
-    v.radius = v.radius * 2.0 + 1.0
+    t.radius[v] = t.radius[v] * 2.0 + 1.0
     rep = verify_greedy_tree(t)
     assert not rep.ok
     assert any("exceeds" in msg for _, msg in rep.violations)
@@ -223,38 +222,38 @@ def test_verify_catches_overstated_radius():
 def test_verify_catches_understated_radius():
     t = _fresh_tree()
     v = _some_internal(t)
-    v.radius = v.radius / 2.0
+    t.radius[v] = t.radius[v] / 2.0
     rep = verify_greedy_tree(t)
     assert not rep.ok
 
 
 def test_verify_catches_wrong_point_count():
     t = _fresh_tree()
-    _some_internal(t).point_count += 1
+    t.count[_some_internal(t)] += 1
     assert not verify_greedy_tree(t).ok
 
 
 def test_verify_catches_left_center_mismatch():
     t = _fresh_tree()
     v = _some_internal(t)
-    v.left, v.right = v.right, v.left
+    t.center[v + 1] = t.center[t.right[v]]
     assert not verify_greedy_tree(t).ok
 
 
 def test_verify_catches_nonzero_leaf_radius():
     t = _fresh_tree()
-    leaf = next(v for v in t.nodes() if v.is_leaf)
-    leaf.radius = 0.5
+    leaf = next(v for v in t.nodes() if t.right[v] < 0)
+    t.radius[leaf] = 0.5
     assert not verify_greedy_tree(t).ok
 
 
 def test_verify_catches_duplicated_leaf():
     t = _fresh_tree()
-    v = _some_internal(t)
-    while not v.left.is_leaf:
-        v = v.left
-    v.right = v.left  # same point now appears under two leaves
-    assert not verify_greedy_tree(t).ok
+    a, b = [v for v in t.nodes() if t.right[v] < 0][:2]
+    t.center[b] = t.center[a]  # same point now appears under two leaves
+    t.leaves[t.first[b]] = t.center[a]
+    rep = verify_greedy_tree(t)
+    assert any("more than one leaf" in msg for _, msg in rep.violations)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +328,7 @@ def test_merge_seeds_from_larger_eccentricity():
     t = merge(a, b)
     # root 2 sees the farthest point at distance 100; root 0 only 99... no:
     # ecc(0) = max(1, 100) = 100, ecc(2) = max(0, 100) = 100, tie -> id 0
-    assert t.root.center == 0
+    assert t.center[0] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +344,7 @@ def test_roundtrip_is_bit_exact():
     obj = tree_to_obj(t)
     t2, _ = tree_from_obj(obj, m)
     assert tree_to_obj(t2) == obj
-    radii = sorted(v.radius for v in t.nodes())
-    radii2 = sorted(v.radius for v in t2.nodes())
-    assert radii == radii2  # equality, not approx
+    assert t2.radius == t.radius  # equality, not approx
     assert verify_greedy_tree(t2, m).ok
 
 
@@ -382,3 +379,65 @@ def test_from_obj_rejects_malformed_input():
     bad["n"] = 5
     with pytest.raises(InputError):
         tree_from_obj(bad, m)
+
+
+def _corrupt_center(obj):
+    obj["nodes"][2]["center"] = 10**6
+
+
+def _corrupt_radius_nan(obj):
+    obj["nodes"][0]["radius"] = math.nan
+
+
+def _corrupt_radius_negative(obj):
+    obj["nodes"][0]["radius"] = -1.0
+
+
+def _corrupt_leaf_radius(obj):
+    leaf = next(rec for rec in obj["nodes"] if "left" not in rec)
+    leaf["radius"] = 0.25
+
+
+def _corrupt_left_link(obj):
+    obj["nodes"][0]["left"] = 2
+
+
+def _corrupt_right_link(obj):
+    # a right link that stays inside the array but skips part of the
+    # left subtree
+    obj["nodes"][0]["right"] -= 2
+
+
+def _corrupt_left_center(obj):
+    obj["nodes"][1]["center"] = obj["nodes"][obj["nodes"][0]["right"]]["center"]
+
+
+def _corrupt_record_type(obj):
+    obj["nodes"][3] = [obj["nodes"][3]["center"], 0.0]
+
+
+def _corrupt_center_type(obj):
+    obj["nodes"][3]["center"] = "3"
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _corrupt_center,
+        _corrupt_radius_nan,
+        _corrupt_radius_negative,
+        _corrupt_leaf_radius,
+        _corrupt_left_link,
+        _corrupt_right_link,
+        _corrupt_left_center,
+        _corrupt_record_type,
+        _corrupt_center_type,
+    ],
+)
+def test_from_obj_rejects_corrupt_nodes(corrupt):
+    t = _fresh_tree(n=12)
+    obj = tree_to_obj(t)
+    tree_from_obj(copy.deepcopy(obj), t.metric)  # the intact object decodes
+    corrupt(obj)
+    with pytest.raises(InputError):
+        tree_from_obj(obj, t.metric)
