@@ -8,8 +8,10 @@ tree's preorder nodes.  They are assembled bottom-up by merging the
 children's auxiliaries, which copies rather than consumes them, so child
 structures stay valid after their parent is built.
 
-A query peels one factor per level: a range cover on the current tree,
-then recursion into each cover node's auxiliary with the remaining radii.
+A query peels one factor per level: a range cover on the primary tree,
+then one frontier search over the auxiliaries of all the cover nodes at
+once (their trees share the level's factor and its point ids), whose
+reported nodes select the auxiliaries of the next level.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Any, Sequence
 
 from .errors import InputError
 from .metrics import MetricSpace
-from .search import NodeCover, ProductQuery, SearchStats, range_cover, range_report
+from .search import ProductQuery, SearchStats, _frontier_search, _points, range_cover, range_report
 from .tree import (
     GreedyTree,
     build_greedy_tree,
@@ -108,57 +110,39 @@ def build_grt(
     )
 
 
-@dataclass
-class _Agg:
-    width: int = 0
-    height: int = 0
-    splits: int = 0
-    evals: list[int] | None = None
-
-    def add(self, level: int, stats: SearchStats) -> None:
-        self.width = max(self.width, stats.width)
-        self.height = max(self.height, stats.height)
-        self.splits += stats.splits
-        self.evals[level] += stats.dist_evals[0]
-
-
 def grt_query(struct: GreedyRangeTree | GreedyTree, query: ProductQuery) -> tuple[set[int], SearchStats]:
     """Answer a product query level by level.
 
     Same sandwich contract as the single-tree search, with the same eps
-    applied at every level.  Width and height aggregate as maxima over
-    the per-level sub-searches; splits and per-factor evaluations add up.
+    applied at every level.  Level 0 is a range cover (or report) on the
+    top tree; each deeper level searches the auxiliaries of every cover
+    node from the level above in one frontier search.  Width and height
+    are maxima over the levels; splits and per-factor evaluations add up.
     """
     m = len(query.radii)
     declared = struct.m if isinstance(struct, GreedyRangeTree) else 1
     if m != declared:
         raise InputError(f"query has {m} radii but the structure has {declared} factors")
+    coords, radii, eps = query.coords, query.radii, query.epsilon
+    if isinstance(struct, GreedyTree):
+        return range_report(struct, coords[0], radii[0], eps)
 
-    agg = _Agg(evals=[0] * m)
+    cover, stats = range_cover(struct.primary, coords[0], radii[0], eps)
+    width, height, splits = stats.width, stats.height, stats.splits
+    evals = [stats.dist_evals[0]] + [0] * (m - 1)
+    level = [struct.aux[v] for v in cover.nodes]
+    for i in range(1, m):
+        trees = [s.primary if isinstance(s, GreedyRangeTree) else s for s in level]
+        outs, stats = _frontier_search(trees, [struct.factors[i]], [coords[i]], [radii[i]], eps)
+        width, height = max(width, stats.width), max(height, stats.height)
+        splits += stats.splits
+        evals[i] = stats.dist_evals[0]
+        if i < m - 1:
+            level = [s.aux[v] for s, nodes in zip(level, outs) for v in nodes]
     points: set[int] = set()
-
-    def walk(s: GreedyRangeTree | GreedyTree, level: int) -> None:
-        payload = query.coords[level]
-        radius = query.radii[level]
-        if isinstance(s, GreedyTree):
-            pts, stats = range_report(s, payload, radius, query.epsilon)
-            agg.add(level, stats)
-            points.update(pts)
-            return
-        cover, stats = range_cover(s.primary, payload, radius, query.epsilon)
-        agg.add(level, stats)
-        for node in cover.nodes:
-            walk(s.aux[node], level + 1)
-
-    walk(struct, 0)
-    stats = SearchStats(
-        width=agg.width,
-        height=agg.height,
-        splits=agg.splits,
-        dist_evals=tuple(agg.evals),
-        output_size=len(points),
-    )
-    return points, stats
+    for t, nodes in zip(trees, outs):
+        points |= _points(t, nodes)
+    return points, SearchStats(width, height, splits, tuple(evals), len(points))
 
 
 def aux_leaf_totals(struct: GreedyRangeTree | GreedyTree) -> dict[int, int]:

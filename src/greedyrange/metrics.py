@@ -38,7 +38,8 @@ def _as_id_array(ids: Any, n: int) -> np.ndarray:
     out = np.asarray(ids, dtype=np.intp)
     if out.ndim != 1:
         raise InputError(f"point ids must form a 1-d sequence, got shape {out.shape}")
-    if out.size and (out.min() < 0 or out.max() >= n):
+    # As unsigned, a negative id wraps past n: one reduction checks both ends.
+    if out.size and out.view(np.uintp).max() >= n:
         raise InputError(f"point id out of range [0, {n})")
     return out
 

@@ -1,15 +1,20 @@
 """Approximate range search over greedy trees.
 
-The search keeps a max-heap of candidate nodes keyed by radius.  A popped
-node whose center sits within ``(1+eps)*r_i - radius`` of the query in
-every factor is reported whole; otherwise it splits, and a node enters
-the heap (the root included) only if its center is within
-``r_i + node_radius`` everywhere.  Nodes still queued once every radius
-drops to ``eps * min(r_i) / 2`` are reported as-is, which is sound
-precisely because each of them passed that entry test.
+The search works in rounds over a frontier of nodes.  A node enters the
+frontier (the root included) only if its center is within
+``r_i + node_radius`` of the query in every factor.  An entered node is
+reported whole if its radius is at most ``eps * min(r_i) / 2``, or if
+its center sits within ``(1+eps)*r_i - radius`` in every factor;
+otherwise it splits.  The left child shares its parent's center, so it
+takes the entry test on the parent's distances within the same round.
+The right child has a fresh center; each round evaluates the fresh
+centers of every tree being searched with one ``dist_point_many`` call
+per factor.  Factor ``i`` sees only the centers that factor ``i-1``
+kept, so the per-factor counts equal those of a node-at-a-time loop
+that stops at the first pruning factor.
 
-The halved cutoff is load-bearing: a queued node only promises its
-points within ``r_i + 2 * radius`` per factor, so stopping at
+The halved cutoff is load-bearing: an entered node only promises its
+points within ``r_i + 2 * radius`` per factor, so reporting at
 ``eps * min(r_i)`` can leak points past the ``(1+eps)`` expansion
 (a four-point instance in the tests demonstrates it).  Halving restores
 the guarantee:
@@ -17,7 +22,17 @@ the guarantee:
     exact answer  <=  output  <=  answer at radii scaled by (1+eps)
 
 with set containment on both sides, for every input.  At eps = 0 the
-loop drains the heap down to radius-zero nodes and the output is exact.
+search splits down to radius-zero nodes and the output is exact.
+
+Visiting order does not matter.  A node enters iff its parent split and
+it passes the entry test, and it splits iff it entered above the cutoff
+and fails the whole-node test; neither depends on when it is visited.
+So the output, the splits, the split depths and the evaluation counts
+equal those of a best-first loop that pops the largest radius first
+and reports what is still queued once every radius is at most the
+cutoff.  Only that loop's peak heap size depends on order, and it is
+replayed afterwards from the entered and split nodes with no distance
+work (``_replay_width``).
 """
 
 from __future__ import annotations
@@ -74,7 +89,9 @@ class ProductQuery:
 class SearchStats:
     """Per-query instrumentation.
 
-    width: max heap size observed.
+    width: peak heap size of the equivalent best-first loop (largest
+      radius first, ties to the smaller center id), replayed after the
+      search; the maximum over the trees when several are searched.
     height: max number of splits along any single point's node chain.
     splits: total split events.
     dist_evals: distance evaluations per factor (left-child tests reuse
@@ -109,88 +126,134 @@ class NodeCover:
         return np.concatenate([subtree_points(self.tree, v) for v in self.nodes])
 
 
-def _heap_search(
-    t: GreedyTree,
+def _frontier_search(
+    trees: Sequence[GreedyTree],
     factors: Sequence[MetricSpace | ProductMetric],
     coords: Sequence[Any],
     radii: Sequence[float],
     epsilon: float,
-    coverage_probe: Callable[[list[int], list[int]], None] | None = None,
-) -> tuple[list[int], "SearchStats"]:
-    """Best-first search from the root of nonempty ``t``; returns node indices."""
-    center, radius, right = t.center, t.radius, t.right
+    probe: Callable[[list[list[int]], list[tuple]], None] | None = None,
+) -> tuple[list[list[int]], SearchStats]:
+    """Search every tree from its root in rounds; see the module docstring.
+
+    All trees index ``factors`` by the same point ids.  Returns the
+    reported node indices of each tree, and stats with width and height
+    as maxima and splits and evaluations as sums over the trees.
+    ``probe`` (debug) sees the output and the frontier after every
+    round's entry tests.
+    """
+    cols = [(t.center, t.radius, t.right) for t in trees]
     m = len(factors)
     evals = [0] * m
     expanded = [(1.0 + epsilon) * r for r in radii]
     cutoff = epsilon * min(radii) / 2.0
-
-    # Heap entries: (-radius, center id, split depth, node, center dists).
-    # Live centers are distinct, so the first two fields order totally.
-    # The root takes the same survival test as any child: every queued
-    # node must have passed it, or the residual flush below is unsound.
-    heap: list[tuple[float, int, int, int, tuple[float, ...]]] = []
-    root_dists: list[float] | None = []
-    for i in range(m):
-        d = factors[i].dist_point(coords[i], center[0])
-        evals[i] += 1
-        if d > radii[i] + radius[0]:
-            root_dists = None
-            break
-        root_dists.append(d)
-    if root_dists is not None:
-        heap.append((-radius[0], center[0], 0, 0, tuple(root_dists)))
-    width = len(heap)
+    out: list[list[int]] = [[] for _ in trees]
+    split: list[set[int]] = [set() for _ in trees]
     height = 0
-    splits = 0
-    out: list[int] = []
-
-    while heap and -heap[0][0] > cutoff:
-        neg_r, _, depth, node, dists = heapq.heappop(heap)
-        r = -neg_r
-        if all(dists[i] <= expanded[i] - r for i in range(m)):
-            out.append(node)
-        elif right[node] >= 0:
-            splits += 1
+    # Entries: (tree, node, split depth, radius, center dists so far).
+    # The roots take the same entry test as any right child: every
+    # reported node must have passed it, or reporting below the cutoff
+    # without a whole-node test is unsound.
+    fresh = [(k, 0, 0, t.radius[0], []) for k, t in enumerate(trees) if t.n]
+    ids = [t.center[0] for t in trees if t.n]  # the fresh entries' centers
+    while True:
+        # Factor i sees only the centers factor i-1 kept, so counts stay
+        # those of a loop that stops at the first pruning factor.
+        frontier = fresh
+        for i in range(m):
+            if not frontier:
+                break
+            if i:
+                ids = [cols[e[0]][0][e[1]] for e in frontier]
+            row = factors[i].dist_point_many(coords[i], ids)
+            evals[i] += len(ids)
+            ri = radii[i]
+            kept = []
+            for e, d in zip(frontier, row.tolist()):
+                if d <= ri + e[3]:
+                    e[4].append(d)
+                    kept.append(e)
+            frontier = kept
+        if probe is not None:
+            probe(out, frontier)
+        if not frontier:
+            break
+        fresh, ids = [], []
+        # A left child that passes its entry test joins this round's
+        # frontier: it needs no new distances.
+        for k, v, depth, r, ds in frontier:
+            if r <= cutoff:
+                out[k].append(v)
+                continue
+            for d, e in zip(ds, expanded):
+                if d > e - r:
+                    break
+            else:
+                out[k].append(v)
+                continue
+            # Above the cutoff every node is internal: leaves have radius 0.
+            split[k].add(v)
             depth += 1
             if depth > height:
                 height = depth
-            for child, known in ((right[node], None), (node + 1, dists)):
-                rc = radius[child]
-                if known is None:
-                    # Fresh center: evaluate factors in order, stop at the
-                    # first one that prunes.
-                    ds = []
-                    for i in range(m):
-                        d = factors[i].dist_point(coords[i], center[child])
-                        evals[i] += 1
-                        if d > radii[i] + rc:
-                            ds = None
-                            break
-                        ds.append(d)
-                    if ds is None:
-                        continue
-                    known = tuple(ds)
-                elif any(known[i] > radii[i] + rc for i in range(m)):
-                    # Left child shares the parent's center; reuse its
-                    # distances instead of re-evaluating.
-                    continue
-                heapq.heappush(heap, (-rc, center[child], depth, child, known))
-            if len(heap) > width:
-                width = len(heap)
-        # No other case: a leaf only enters the heap within its exact
-        # radii (survival test with radius 0), so it always reports.
-        if coverage_probe is not None:
-            coverage_probe(out, [entry[3] for entry in heap])
+            center, radius, right = cols[k]
+            rl = radius[v + 1]
+            for d, ri in zip(ds, radii):
+                if d > ri + rl:
+                    break
+            else:
+                frontier.append((k, v + 1, depth, rl, ds))
+            c = right[v]
+            fresh.append((k, c, depth, radius[c], []))
+            ids.append(center[c])
 
-    out.extend(entry[3] for entry in heap)
+    width = 0
+    for t, nodes, sp in zip(trees, out, split):
+        if nodes or sp:
+            width = max(width, _replay_width(t, sp, set(nodes), cutoff))
     stats = SearchStats(
         width=width,
         height=height,
-        splits=splits,
+        splits=sum(len(sp) for sp in split),
         dist_evals=tuple(evals),
-        output_size=sum(t.count[v] for v in out),
+        output_size=sum(t.count[v] for t, nodes in zip(trees, out) for v in nodes),
     )
     return out, stats
+
+
+def _replay_width(t: GreedyTree, split: set[int], reported: set[int], cutoff: float) -> int:
+    """Peak heap size of the best-first loop with the same splits.
+
+    That loop pops by (-radius, center id), a total order because the
+    centers of queued nodes are distinct, so the replay pops in its
+    order.  The root entered; a node entered iff it split or was
+    reported.  Nodes at or below the cutoff are never popped and only
+    count toward the size.
+    """
+    center, radius, right = t.center, t.radius, t.right
+    heap = [(-radius[0], center[0], 0)] if radius[0] > cutoff else []
+    pop, push = heapq.heappop, heapq.heappush
+    size = width = 1
+    while heap:
+        v = pop(heap)[2]
+        size -= 1
+        if v not in split:
+            continue
+        for c in (right[v], v + 1):
+            if c in split or c in reported:
+                size += 1
+                if radius[c] > cutoff:
+                    push(heap, (-radius[c], center[c], c))
+        if size > width:
+            width = size
+    return width
+
+
+def _points(t: GreedyTree, nodes: Iterable[int]) -> set[int]:
+    points: set[int] = set()
+    for v in nodes:
+        points.update(subtree_points(t, v).tolist())
+    return points
 
 
 def product_range_query(
@@ -203,35 +266,27 @@ def product_range_query(
     The tree must be built over the product of the query's factors.
     Output is sandwiched between the exact answer and the answer at
     radii scaled by (1+eps).  ``coverage_check`` (debug): assert after
-    every loop step that each given point id is still covered by the
-    output or the heap.
+    every round's entry tests that each given point id is still covered
+    by the output or the frontier.
     """
     metric = t.metric
     if not isinstance(metric, ProductMetric):
         raise InputError("product_range_query needs a tree over a product metric")
     if len(query.radii) != metric.m:
         raise InputError(f"query has {len(query.radii)} radii but the tree has {metric.m} factors")
-    if t.n == 0:
-        return set(), SearchStats(0, 0, 0, tuple([0] * metric.m), 0)
-
     probe = None
     if coverage_check is not None:
         expected = list(coverage_check)
 
-        def probe(out_nodes: list[int], heap_nodes: list[int]) -> None:
-            covered: set[int] = set()
-            for v in out_nodes + heap_nodes:
-                covered.update(subtree_points(t, v).tolist())
+        def probe(out: list[list[int]], frontier: list[tuple]) -> None:
+            covered = _points(t, out[0] + [entry[1] for entry in frontier])
             lost = [p for p in expected if p not in covered]
-            assert not lost, f"exact answer points {lost} dropped from output + heap"
+            assert not lost, f"exact answer points {lost} dropped from output + frontier"
 
-    nodes, stats = _heap_search(
-        t, metric.factors, query.coords, query.radii, query.epsilon, coverage_probe=probe
+    (nodes,), stats = _frontier_search(
+        [t], metric.factors, query.coords, query.radii, query.epsilon, probe=probe
     )
-    points: set[int] = set()
-    for v in nodes:
-        points.update(subtree_points(t, v).tolist())
-    return points, stats
+    return _points(t, nodes), stats
 
 
 def range_cover(
@@ -251,9 +306,7 @@ def range_cover(
         raise InputError(f"radius must be positive and finite, got {radius}")
     if not 0 <= epsilon < math.inf:
         raise InputError(f"epsilon must be nonnegative and finite, got {epsilon}")
-    if t.n == 0:
-        return NodeCover(tree=t, nodes=()), SearchStats(0, 0, 0, (0,), 0)
-    nodes, stats = _heap_search(t, [t.metric], [q], [radius], epsilon)
+    (nodes,), stats = _frontier_search([t], [t.metric], [q], [radius], epsilon)
     return NodeCover(tree=t, nodes=tuple(nodes)), stats
 
 
@@ -265,7 +318,4 @@ def range_report(
 ) -> tuple[set[int], SearchStats]:
     """Flatten a range cover into the reported point set."""
     cover, stats = range_cover(t, q, radius, epsilon)
-    points: set[int] = set()
-    for v in cover.nodes:
-        points.update(subtree_points(t, v).tolist())
-    return points, stats
+    return _points(t, cover.nodes), stats

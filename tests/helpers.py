@@ -2,12 +2,15 @@
 
 Everything here is written the slow, obvious way: plain dicts, explicit
 loops, scalar arithmetic.  No numpy, no shared code with the package.
+The reference searches at the end read the package's tree columns and
+call its scalar ``dist_point``, nothing else.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 Dist = Callable[[int, int], float]
 
@@ -134,3 +137,121 @@ def scalar_levenshtein(a: str, b: str) -> float:
                 m[i - 1][j - 1] + (a[i - 1] != b[j - 1]),
             )
     return float(m[la][lb])
+
+
+# ---------------------------------------------------------------------------
+# Reference searches: the original one-node-at-a-time best-first loop and
+# the recursive cascade walk over it.  They return what the package's
+# search returned before it worked in rounds, stats included, so the
+# batched search can be held to them.
+# ---------------------------------------------------------------------------
+
+
+def reference_heap_search(t, factors, coords, radii, epsilon):
+    """Best-first search from the root of nonempty ``t``.
+
+    Returns (node indices, (width, height, splits, dist_evals, output_size)).
+    """
+    center, radius, right = t.center, t.radius, t.right
+    m = len(factors)
+    evals = [0] * m
+    expanded = [(1.0 + epsilon) * r for r in radii]
+    cutoff = epsilon * min(radii) / 2.0
+
+    # Heap entries: (-radius, center id, split depth, node, center dists).
+    # Live centers are distinct, so the first two fields order totally.
+    # The root takes the same survival test as any child: every queued
+    # node must have passed it, or the residual flush below is unsound.
+    heap = []
+    root_dists = []
+    for i in range(m):
+        d = factors[i].dist_point(coords[i], center[0])
+        evals[i] += 1
+        if d > radii[i] + radius[0]:
+            root_dists = None
+            break
+        root_dists.append(d)
+    if root_dists is not None:
+        heap.append((-radius[0], center[0], 0, 0, tuple(root_dists)))
+    width = len(heap)
+    height = 0
+    splits = 0
+    out = []
+
+    while heap and -heap[0][0] > cutoff:
+        neg_r, _, depth, node, dists = heapq.heappop(heap)
+        r = -neg_r
+        if all(dists[i] <= expanded[i] - r for i in range(m)):
+            out.append(node)
+        elif right[node] >= 0:
+            splits += 1
+            depth += 1
+            if depth > height:
+                height = depth
+            for child, known in ((right[node], None), (node + 1, dists)):
+                rc = radius[child]
+                if known is None:
+                    # Fresh center: evaluate factors in order, stop at the
+                    # first one that prunes.
+                    ds = []
+                    for i in range(m):
+                        d = factors[i].dist_point(coords[i], center[child])
+                        evals[i] += 1
+                        if d > radii[i] + rc:
+                            ds = None
+                            break
+                        ds.append(d)
+                    if ds is None:
+                        continue
+                    known = tuple(ds)
+                elif any(known[i] > radii[i] + rc for i in range(m)):
+                    # Left child shares the parent's center; reuse its
+                    # distances instead of re-evaluating.
+                    continue
+                heapq.heappush(heap, (-rc, center[child], depth, child, known))
+            if len(heap) > width:
+                width = len(heap)
+        # No other case: a leaf only enters the heap within its exact
+        # radii (survival test with radius 0), so it always reports.
+
+    out.extend(entry[3] for entry in heap)
+    output_size = sum(t.count[v] for v in out)
+    return out, (width, height, splits, tuple(evals), output_size)
+
+
+def reference_points(t, nodes) -> set[int]:
+    points: set[int] = set()
+    for v in nodes:
+        points.update(int(p) for p in t.leaves[t.first[v] : t.first[v] + t.count[v]])
+    return points
+
+
+def reference_grt_query(struct, coords, radii, epsilon):
+    """Recursive cascade walk: one reference search per structure.
+
+    Returns (points, (width, height, splits, dist_evals, output_size)),
+    with width and height as maxima over the sub-searches and splits and
+    per-level evaluations as sums.
+    """
+    m = len(radii)
+    agg = {"width": 0, "height": 0, "splits": 0, "evals": [0] * m}
+    points: set[int] = set()
+
+    def walk(s, level):
+        t = s.primary if hasattr(s, "primary") else s
+        nodes, (width, height, splits, evals, _) = reference_heap_search(
+            t, [t.metric], [coords[level]], [radii[level]], epsilon
+        )
+        agg["width"] = max(agg["width"], width)
+        agg["height"] = max(agg["height"], height)
+        agg["splits"] += splits
+        agg["evals"][level] += evals[0]
+        if t is s:
+            points.update(reference_points(t, nodes))
+            return
+        for v in nodes:
+            walk(s.aux[v], level + 1)
+
+    walk(struct, 0)
+    stats = (agg["width"], agg["height"], agg["splits"], tuple(agg["evals"]), len(points))
+    return points, stats

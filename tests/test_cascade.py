@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import helpers
 from greedyrange import (
     FactorSpec,
     GreedyRangeTree,
@@ -200,3 +201,20 @@ def test_from_obj_validation():
     bad["primary"]["nodes"][0].pop("aux")
     with pytest.raises(InputError):
         grt_from_obj(bad, spaces)
+
+
+@pytest.mark.parametrize("m,n", [(2, 60), (3, 24)])
+def test_level_rounds_match_recursive_reference(m, n):
+    # One frontier search per level must answer and count exactly as a
+    # recursive walk that searches every auxiliary on its own.
+    ds = small_dataset(m, n, seed=20 + m)
+    grt = build_grt(list(range(n)), ds.spaces())
+    rng = random.Random(m)
+    for eps in (0.0, 0.5, 4.0):
+        for _ in range(15):
+            coords = ds.payloads(rng.randrange(n))
+            radii = tuple(rng.uniform(0.1, 0.6) for _ in range(m))
+            got, stats = grt_query(grt, ProductQuery(coords=coords, radii=radii, epsilon=eps))
+            want, want_stats = helpers.reference_grt_query(grt, coords, radii, eps)
+            assert got == want
+            assert (stats.width, stats.height, stats.splits, stats.dist_evals, stats.output_size) == want_stats

@@ -24,6 +24,12 @@ CASES = {
         "e0fe78dba4b66b2a839b26b9161739f841c5c8594b06785be9687d17bd4545bb",
         "def61e6cb653a97d0ab9b377ce5899703addda43f400f185bcd2a40c14ad5dd5",
     ),
+    "ptree-l2x2": (
+        ["--factors", "l2:2,l2:2", "--n", "256"],
+        "product-tree",
+        "d03196198ca9159ca93d0106ce205c41bded5f063b8884211906164a27d2eb1e",
+        "db514b782c36ddf17a15fea739147b4e7ca5cd668d4f9828898a4e8b98fcbcd8",
+    ),
 }
 
 

@@ -115,6 +115,16 @@ def test_payload_validation():
         m.dist_many(0, [[0, 1]])
 
 
+@pytest.mark.parametrize("bad", [-1, 2])
+def test_bulk_calls_reject_out_of_range_ids(bad):
+    m = AbsDiffMetric("x", [0.0, 1.0])
+    with pytest.raises(InputError):
+        m.dist_many(0, [0, bad])
+    with pytest.raises(InputError):
+        m.dist_point_many(0.5, [bad, 1])
+    assert m.evals == 0
+
+
 def test_constructor_validation():
     with pytest.raises(ConfigurationError):
         MinkowskiMetric("v", [[0.0]], p=3)

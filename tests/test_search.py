@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import helpers
 from greedyrange import (
     AbsDiffMetric,
     Dataset,
@@ -23,6 +24,7 @@ from greedyrange import (
     sandwich_check,
     synth_dataset,
 )
+from greedyrange.search import _frontier_search
 from greedyrange.tree import subtree_points
 
 
@@ -221,3 +223,74 @@ def test_cover_works_on_product_metric_as_single_factor():
     for v in cover.nodes:
         for p in subtree_points(t, v).tolist():
             assert ds.product().dist_point((0.5, 0.5), p) <= 1.5 * 0.3 + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The rounds against the node-at-a-time best-first reference loop.
+# ---------------------------------------------------------------------------
+
+
+def assert_matches_reference(t, factors, coords, radii, eps):
+    """Same reported nodes and every stats field as the reference loop."""
+    want_nodes, want_stats = helpers.reference_heap_search(t, factors, coords, radii, eps)
+    (nodes,), stats = _frontier_search([t], factors, coords, radii, eps)
+    assert sorted(nodes) == sorted(want_nodes)
+    assert (stats.width, stats.height, stats.splits, stats.dist_evals, stats.output_size) == want_stats
+    return want_nodes, want_stats
+
+
+@pytest.mark.parametrize("grid", [False, True])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("eps", [0.0, 0.5, 4.0])
+def test_rounds_match_reference_loop(m, eps, grid):
+    # On an integer grid many queued nodes share a radius, so the
+    # replayed width depends on the tie-break by center id.
+    rng = random.Random(100 * m + int(eps * 10) + grid)
+    coord = (lambda: float(rng.randrange(16))) if grid else (lambda: rng.uniform(0, 16))
+    n = 120
+    values = [coord() for _ in range(n)]
+    vecs = [[coord(), coord()] for _ in range(n)]
+    factors = [AbsDiffMetric("x", values), MinkowskiMetric("v", vecs, p=2)][:m]
+    t, _ = product_tree(factors, n)
+    for _ in range(25):
+        coords = (coord(), [coord(), coord()])[:m]
+        radii = tuple(rng.uniform(0.5, 6.0) for _ in range(m))
+        want_nodes, _ = assert_matches_reference(t, factors, coords, radii, eps)
+        got, _ = product_range_query(t, ProductQuery(coords=coords, radii=radii, epsilon=eps))
+        assert got == helpers.reference_points(t, want_nodes)
+
+
+def test_rounds_match_reference_with_radius_inversion():
+    # The tree of test_right_child_radius_can_exceed_parent: the root's
+    # right child has the larger radius, so best-first pops it later
+    # than a plain radius order would.
+    angles = [0.0, 150.0, 55.0, 100.0]
+    vecs = [[0.0, 0.0]] + [[math.cos(math.radians(a)), math.sin(math.radians(a))] for a in angles]
+    m = MinkowskiMetric("v", vecs, p=2)
+    t = build_greedy_tree(greedy_permutation(list(range(5)), m), m)
+    assert t.radius[t.right[0]] > t.radius[0]
+    rng = random.Random(3)
+    for eps in (0.0, 0.5, 4.0):
+        for _ in range(20):
+            q = [rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)]
+            assert_matches_reference(t, [m], [q], [rng.uniform(0.1, 2.5)], eps)
+
+
+def test_rounds_match_reference_when_root_is_pruned():
+    xs = AbsDiffMetric("x", [0.0, 0.01])
+    t, _ = product_tree([xs], 2)
+    nodes, stats = assert_matches_reference(t, [xs], (100.0,), (1.0,), 1.0)
+    assert nodes == [] and stats == (0, 0, 0, (1,), 0)
+
+
+def test_coverage_probe_catches_a_pruned_point():
+    rng = random.Random(23)
+    n = 50
+    values = [rng.uniform(0, 10) for _ in range(n)]
+    xs = AbsDiffMetric("x", values)
+    t, _ = product_tree([xs], n)
+    far = max(range(n), key=lambda p: abs(values[p] - 5.0))
+    assert abs(values[far] - 5.0) > 1.3 * 2.0  # outside the expanded radius
+    q = ProductQuery(coords=(5.0,), radii=(2.0,), epsilon=0.3)
+    with pytest.raises(AssertionError, match=r"\[%d\]" % far):
+        product_range_query(t, q, coverage_check=[far])
