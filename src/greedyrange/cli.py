@@ -140,12 +140,15 @@ def cmd_build(args: argparse.Namespace) -> int:
     spread: dict[str, Any] = {}
     product_spread = None
     duplicates = False
+    summary_seconds = 0.0
     if dataset.n >= 2:
+        t0 = time.perf_counter()
         summary = dataset_summary(dataset.product(), dataset.ids())
         for name, st in summary.per_factor.items():
             spread[name] = None if st.has_duplicates else st.spread
             duplicates = duplicates or st.has_duplicates
         product_spread = None if summary.product.has_duplicates else summary.product.spread
+        summary_seconds = time.perf_counter() - t0
     save_index(args.out, dataset, args.structure, struct)
     _print_report(
         {
@@ -157,6 +160,7 @@ def cmd_build(args: argparse.Namespace) -> int:
             "has_duplicates": duplicates,
             "build_dist_evals": evals_after_build,
             "build_seconds": round(build_seconds, 6),
+            "summary_seconds": round(summary_seconds, 6),
             "out": str(args.out),
         }
     )

@@ -153,25 +153,56 @@ class MinkowskiMetric(MetricSpace):
         return self._reduce(self._mat[ids] - qv)
 
 
+def _pattern(a: str) -> tuple[dict[str, int], int]:
+    """Match masks of ``a`` for the bit-vector kernel, and its length.
+
+    Bit i of ``peq[c]`` is set where ``a[i] == c``; Python ints are the bit
+    vectors, so any length works.
+    """
+    peq: dict[str, int] = {}
+    for i, c in enumerate(a):
+        peq[c] = peq.get(c, 0) | (1 << i)
+    return peq, len(a)
+
+
+def _edit_distance(pattern: tuple[dict[str, int], int], b: str) -> int:
+    """Edit distance from the pattern's string to ``b`` in one pass over ``b``.
+
+    Myers's bit-vector scan (JACM 1999) in Hyyrö's global form (2001):
+    ``pv``/``mv`` hold the +1/-1 vertical deltas of one DP column, and the
+    ``| 1`` shifted into the horizontal delta is the first row's ``D[0][j] = j``.
+    The distance is the last column's sum, ``D[0][len(b)]`` plus its deltas.
+    """
+    peq, m = pattern
+    mask = (1 << m) - 1
+    pv, mv = mask, 0
+    for c in b:
+        eq = peq.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = (mv | ~(xh | pv)) << 1 | 1
+        pv = ((pv & xh) << 1 | ~(xv | ph)) & mask
+        mv = ph & xv
+    return len(b) + pv.bit_count() - mv.bit_count()
+
+
 def levenshtein(a: str, b: str) -> int:
-    """Classic edit distance (unit-cost insert, delete, substitute)."""
-    if a == b:
-        return 0
-    if len(a) < len(b):
-        a, b = b, a
-    if not b:
-        return len(a)
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i]
-        for j, cb in enumerate(b, start=1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
-        prev = cur
-    return prev[-1]
+    """Classic edit distance (unit-cost insert, delete, substitute).
+
+    Runs the bit-vector kernel: len(b) steps, each a few operations on
+    len(a)-bit integers, in place of a DP over len(a) * len(b) cells.
+    """
+    return _edit_distance(_pattern(a), b)
 
 
 class LevenshteinMetric(MetricSpace):
-    """Edit distance between short strings."""
+    """Edit distance between strings.
+
+    Each call builds the bit-vector pattern of the source string (stored
+    point ``x`` or payload ``q``) once and scans every target with it, so a
+    bulk call over k ids costs one pattern and k linear scans.  Nothing is
+    precomputed per stored string.
+    """
 
     def __init__(self, name: str, strings: Sequence[str]) -> None:
         for s in strings:
@@ -180,14 +211,17 @@ class LevenshteinMetric(MetricSpace):
         super().__init__(name, len(strings))
         self._strings = list(strings)
 
+    def _scan(self, a: str, ids: np.ndarray) -> np.ndarray:
+        pattern, strings = _pattern(a), self._strings
+        return np.array([_edit_distance(pattern, strings[i]) for i in ids.tolist()], dtype=np.float64)
+
     def _pairs(self, x: int, ids: np.ndarray) -> np.ndarray:
-        sx = self._strings[x]
-        return np.array([levenshtein(sx, self._strings[i]) for i in ids], dtype=np.float64)
+        return self._scan(self._strings[x], ids)
 
     def _point(self, q: Any, ids: np.ndarray) -> np.ndarray:
         if not isinstance(q, str):
             raise InputError(f"factor {self.name!r} expects a string payload, got {q!r}")
-        return np.array([levenshtein(q, self._strings[i]) for i in ids], dtype=np.float64)
+        return self._scan(q, ids)
 
 
 class ProductMetric:

@@ -265,9 +265,10 @@ def product_range_query(
 
     The tree must be built over the product of the query's factors.
     Output is sandwiched between the exact answer and the answer at
-    radii scaled by (1+eps).  ``coverage_check`` (debug): assert after
-    every round's entry tests that each given point id is still covered
-    by the output or the frontier.
+    radii scaled by (1+eps).  ``coverage_check`` (debug): after every
+    round's entry tests, raise AssertionError (also under ``python -O``)
+    unless each given point id is still covered by the output or the
+    frontier.
     """
     metric = t.metric
     if not isinstance(metric, ProductMetric):
@@ -281,7 +282,8 @@ def product_range_query(
         def probe(out: list[list[int]], frontier: list[tuple]) -> None:
             covered = _points(t, out[0] + [entry[1] for entry in frontier])
             lost = [p for p in expected if p not in covered]
-            assert not lost, f"exact answer points {lost} dropped from output + frontier"
+            if lost:
+                raise AssertionError(f"exact answer points {lost} dropped from output + frontier")
 
     (nodes,), stats = _frontier_search(
         [t], metric.factors, query.coords, query.radii, query.epsilon, probe=probe

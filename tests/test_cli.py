@@ -80,6 +80,32 @@ def test_build_query_verify_pipeline(workspace, capsys, structure):
         assert report["aux_leaf_totals"]["0"] == 80
 
 
+def test_build_report_times_the_summary(workspace, capsys, tmp_path):
+    code, out, _ = run(
+        capsys, "build",
+        "--dataset", str(workspace / "d.jsonl"),
+        "--factors", str(workspace / "f.json"),
+        "--out", str(tmp_path / "i.idx"),
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["summary_seconds"] >= 0 and report["build_seconds"] >= 0
+    # one point has no pairs, so the summary is skipped
+    (tmp_path / "one.jsonl").write_text(
+        json.dumps({"id": 0, "coords": {"x": 1.5}}) + "\n", encoding="utf-8"
+    )
+    (tmp_path / "one.json").write_text(json.dumps([{"name": "x", "kind": "abs1d"}]), encoding="utf-8")
+    code, out, err = run(
+        capsys, "build",
+        "--dataset", str(tmp_path / "one.jsonl"),
+        "--factors", str(tmp_path / "one.json"),
+        "--out", str(tmp_path / "one.idx"),
+    )
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["n"] == 1 and report["summary_seconds"] == 0.0
+
+
 def test_tampered_results_fail_verification(workspace, capsys):
     idx, res = workspace / "i.idx", workspace / "r.jsonl"
     run(capsys, "build", "--dataset", str(workspace / "d.jsonl"),

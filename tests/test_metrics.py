@@ -62,6 +62,46 @@ def test_levenshtein_matches_textbook(a, b):
     assert levenshtein(a, b) == helpers.scalar_levenshtein(a, b)
 
 
+# Non-ASCII characters and lengths past 64 and 128 exercise bit vectors of
+# many machine digits and match masks keyed by any code point.
+@given(st.text(alphabet="abé中", max_size=150), st.text(alphabet="abé中", max_size=150))
+@settings(max_examples=100, deadline=None)
+def test_levenshtein_matches_textbook_on_long_unicode(a, b):
+    assert levenshtein(a, b) == helpers.scalar_levenshtein(a, b)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ("", ""),
+        ("", "xy" * 40),
+        ("xy" * 40, ""),
+        ("abcdefghij" * 7, "abcdefghij" * 7),
+        ("a" * 70, "a" * 3),
+        ("a" * 3, "a" * 130),
+        ("a" * 65, "b" * 65),
+    ],
+)
+def test_levenshtein_edge_cases(a, b):
+    assert levenshtein(a, b) == helpers.scalar_levenshtein(a, b)
+
+
+def test_levenshtein_bulk_calls_match_reference():
+    strings = ["", "kitten", "kitten", "sitting", "a" * 70, "", "中é" * 40, "flaw"]
+    m = LevenshteinMetric("s", strings)
+    ids = [3, 0, 1, 2, 2, 7, 4, 5, 6, 0]
+    for x in range(len(strings)):
+        before = m.evals
+        row = m.dist_many(x, ids)
+        assert m.evals == before + len(ids)
+        assert row.tolist() == [helpers.scalar_levenshtein(strings[x], strings[i]) for i in ids]
+    for q in ("", "kitten", "not in the dataset", "é" * 90):
+        before = m.evals
+        row = m.dist_point_many(q, ids)
+        assert m.evals == before + len(ids)
+        assert row.tolist() == [helpers.scalar_levenshtein(q, strings[i]) for i in ids]
+
+
 def test_levenshtein_desk_values():
     assert levenshtein("kitten", "sitting") == 3
     assert levenshtein("", "abc") == 3

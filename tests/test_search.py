@@ -1,10 +1,15 @@
 """Product range search: the sandwich contract and its edge cases."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import greedyrange
 import helpers
 from greedyrange import (
     AbsDiffMetric,
@@ -294,3 +299,33 @@ def test_coverage_probe_catches_a_pruned_point():
     q = ProductQuery(coords=(5.0,), radii=(2.0,), epsilon=0.3)
     with pytest.raises(AssertionError, match=r"\[%d\]" % far):
         product_range_query(t, q, coverage_check=[far])
+
+
+def test_coverage_probe_raises_under_optimize_flag():
+    # A bare assert vanishes under -O; the probe must raise there too.
+    code = textwrap.dedent(
+        """
+        import random
+        from greedyrange import (
+            AbsDiffMetric, ProductMetric, ProductQuery, build_greedy_tree,
+            greedy_permutation, product_range_query,
+        )
+
+        rng = random.Random(23)
+        n = 50
+        values = [rng.uniform(0, 10) for _ in range(n)]
+        pm = ProductMetric([AbsDiffMetric("x", values)])
+        t = build_greedy_tree(greedy_permutation(list(range(n)), pm), pm)
+        far = max(range(n), key=lambda p: abs(values[p] - 5.0))
+        q = ProductQuery(coords=(5.0,), radii=(2.0,), epsilon=0.3)
+        try:
+            product_range_query(t, q, coverage_check=[far])
+        except AssertionError as exc:
+            raise SystemExit(3 if str([far]) in str(exc) else 4)
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(greedyrange.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 3, proc.stderr
