@@ -359,6 +359,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     structure, dataset, struct = load_index(args.index)
     primary = struct if isinstance(struct, GreedyTree) else struct.primary
     histogram = _depth_histogram(primary)
+    rad, right = primary.radius, primary.right
     report: dict[str, Any] = {
         "structure": structure,
         "n": dataset.n,
@@ -366,6 +367,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
         "primary_nodes": sum(histogram),
         "primary_depth": len(histogram) - 1 if histogram else 0,
         "nodes_per_depth": histogram,
+        "radius_inversions": sum(1 for i, r in enumerate(right) if r >= 0 and rad[r] > rad[i]),
+        "index_bytes": Path(args.index).stat().st_size,
     }
     if structure == "grt":
         totals = aux_leaf_totals(struct)

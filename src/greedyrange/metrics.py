@@ -120,37 +120,45 @@ class AbsDiffMetric(MetricSpace):
 
 
 class MinkowskiMetric(MetricSpace):
-    """L1 or L2 distance between fixed-dimension real vectors."""
+    """L1 or L2 distance between fixed-dimension real vectors.
+
+    Coordinates are stored once, as C-contiguous (dim, n) columns; a call
+    gathers its ids into a (dim, k) block and adds its rows left to right,
+    so the distance bits equal an ``acc += d * d`` loop for every k.
+    """
 
     def __init__(self, name: str, vectors: Any, p: int) -> None:
         mat = np.asarray(vectors, dtype=np.float64)
-        if mat.ndim != 2:
-            raise ConfigurationError("vector coordinates must form an (n, dim) array")
+        if mat.ndim != 2 or mat.shape[1] < 1:
+            raise ConfigurationError("vector coordinates must form an (n, dim) array with dim >= 1")
         if p not in (1, 2):
             raise ConfigurationError(f"unsupported Minkowski order {p}")
         super().__init__(name, mat.shape[0])
-        self._mat = mat
+        self._cols = np.ascontiguousarray(mat.T)
         self._p = p
 
     @property
     def dim(self) -> int:
-        return self._mat.shape[1]
+        return self._cols.shape[0]
 
     def _reduce(self, diff: np.ndarray) -> np.ndarray:
-        if self._p == 2:
-            return np.sqrt((diff * diff).sum(axis=1))
-        return np.abs(diff).sum(axis=1)
+        # Not diff.sum(axis=0): numpy sums a lone column (k = 1) pairwise.
+        terms = diff * diff if self._p == 2 else np.abs(diff)
+        total = terms[0]
+        for row in terms[1:]:
+            total = total + row
+        return np.sqrt(total) if self._p == 2 else total
 
     def _pairs(self, x: int, ids: np.ndarray) -> np.ndarray:
-        return self._reduce(self._mat[ids] - self._mat[x])
+        return self._reduce(self._cols.take(ids, axis=1) - self._cols[:, x, None])
 
     def _point(self, q: Any, ids: np.ndarray) -> np.ndarray:
         qv = np.asarray(q, dtype=np.float64)
-        if qv.shape != (self._mat.shape[1],):
+        if qv.shape != (self.dim,):
             raise InputError(
-                f"factor {self.name!r} expects a vector of length {self._mat.shape[1]}, got {q!r}"
+                f"factor {self.name!r} expects a vector of length {self.dim}, got {q!r}"
             )
-        return self._reduce(self._mat[ids] - qv)
+        return self._reduce(self._cols.take(ids, axis=1) - qv[:, None])
 
 
 def _pattern(a: str) -> tuple[dict[str, int], int]:

@@ -509,8 +509,9 @@ def tree_from_obj(obj: dict[str, Any], metric: Metric) -> tuple[GreedyTree, list
     The record list lets callers recover per-node extras ("aux") aligned
     with the decoded nodes.  One reverse pass checks that the links form
     the preorder layout, that left children keep their parent's center,
-    that centers are point ids of ``metric`` and that radii are finite,
-    nonnegative and zero at leaves.  It does not recompute radii.
+    that centers are point ids of ``metric``, that no id is in two leaves
+    and that radii are finite, nonnegative and zero at leaves.  It does not
+    recompute radii.
     """
     if not isinstance(obj, dict) or obj.get("format") != TREE_FORMAT:
         raise InputError(f"not a {TREE_FORMAT} object")
@@ -564,6 +565,8 @@ def tree_from_obj(obj: dict[str, Any], metric: Metric) -> tuple[GreedyTree, list
         first[i] = first[i + 1]
     if count[0] != n:
         raise InputError(f"serialized tree claims n={n} but has {count[0]} leaves")
+    if len(set(leaves)) != n:
+        raise InputError("serialized tree has a point id in more than one leaf")
     leaves.reverse()
     tree = GreedyTree(metric, center, radius, count, right, first, np.asarray(leaves, dtype=np.intp))
     return tree, records

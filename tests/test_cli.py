@@ -6,6 +6,7 @@ import json
 import pytest
 
 from greedyrange.cli import load_index, main
+from greedyrange.tree import verify_greedy_tree
 
 
 def run(capsys, *argv):
@@ -76,6 +77,10 @@ def test_build_query_verify_pipeline(workspace, capsys, structure):
     report = json.loads(out)
     assert report["primary_nodes"] == 2 * 80 - 1
     assert sum(report["nodes_per_depth"]) == report["primary_nodes"]
+    _, _, struct = load_index(idx)
+    primary = struct if structure == "product-tree" else struct.primary
+    assert report["radius_inversions"] == verify_greedy_tree(primary).radius_inversions
+    assert report["index_bytes"] == idx.stat().st_size
     if structure == "grt":
         assert report["aux_leaf_totals"]["0"] == 80
 
@@ -250,8 +255,17 @@ def _tree_missing(obj):
     del obj["tree"]
 
 
+def _duplicate_leaf(obj):
+    # a right-child leaf takes the root's point id, so its own point could
+    # never be reported
+    nodes = obj["tree"]["primary"]["nodes"]
+    r = next(rec["right"] for rec in nodes if "right" in rec and "right" not in nodes[rec["right"]])
+    nodes[r]["center"] = nodes[0]["center"]
+
+
 @pytest.mark.parametrize(
-    "corrupt", [_drop_factors, _far_center, _nan_radius, _nan_aux_radius, _coords_not_columns, _tree_missing]
+    "corrupt",
+    [_drop_factors, _far_center, _nan_radius, _nan_aux_radius, _coords_not_columns, _tree_missing, _duplicate_leaf],
 )
 def test_corrupt_index_exits_2(workspace, capsys, tmp_path, corrupt):
     idx = workspace / "i.idx"

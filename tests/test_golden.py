@@ -30,6 +30,14 @@ CASES = {
         "d03196198ca9159ca93d0106ce205c41bded5f063b8884211906164a27d2eb1e",
         "db514b782c36ddf17a15fea739147b4e7ca5cd668d4f9828898a4e8b98fcbcd8",
     ),
+    # dim 9 is past numpy's 8-wide pairwise blocks, so this pins the
+    # left-to-right coordinate sum of MinkowskiMetric
+    "ptree-l2w9xabs": (
+        ["--factors", "l2:9,abs1d", "--n", "64"],
+        "product-tree",
+        "a4f7b7ff803f78f67159df56690474791896c802ed1d2dc782a1e31d970822b7",
+        "2773e47d059740c455e9d80e325950a56a3f0e796f17d2dbff2491ba9b6d91e1",
+    ),
 }
 
 

@@ -120,6 +120,53 @@ def test_minkowski_matches_scalar():
         assert m1.dist(i, j) == pytest.approx(helpers.scalar_l1(vecs[i], vecs[j]), abs=1e-12)
 
 
+def _loop_minkowski(u, v, p):
+    # the coordinates added left to right, one rounding per step
+    acc = 0.0
+    for a, b in zip(u, v):
+        d = a - b
+        acc += d * d if p == 2 else abs(d)
+    return math.sqrt(acc) if p == 2 else acc
+
+
+def _row_major_minkowski(mat, ids, origin, p):
+    # the earlier (n, dim) kernel; numpy sums rows of 8 or more pairwise
+    diff = mat[ids] - origin
+    return np.sqrt((diff * diff).sum(axis=1)) if p == 2 else np.abs(diff).sum(axis=1)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2, 3, 7, 8, 9, 16, 33])
+def test_minkowski_sums_coordinates_left_to_right(dim, p):
+    rng = random.Random(100 * dim + p)
+    n = 40
+    # mixed magnitudes, so the summation order shows in the last bit
+    vecs = [[rng.uniform(-5, 5) * 10.0 ** rng.randint(-3, 3) for _ in range(dim)] for _ in range(n)]
+    mat = np.asarray(vecs)
+    m = MinkowskiMetric("v", vecs, p=p)
+    assert m.dim == dim
+    ids = rng.choices(range(n), k=3 * n)  # with duplicates
+    q = [rng.uniform(-5, 5) for _ in range(dim)]
+    for x in (0, 17, n - 1):
+        row = m.dist_many(x, ids)
+        want = [_loop_minkowski(vecs[y], vecs[x], p) for y in ids]
+        assert row.tolist() == want
+        assert [m.dist(x, y) for y in ids] == want
+        if dim <= 7:
+            assert row.tolist() == _row_major_minkowski(mat, ids, mat[x], p).tolist()
+    row = m.dist_point_many(q, ids)
+    want = [_loop_minkowski(vecs[y], q, p) for y in ids]
+    assert row.tolist() == want
+    assert [m.dist_point(q, y) for y in ids] == want
+    if dim <= 7:
+        assert row.tolist() == _row_major_minkowski(mat, ids, np.asarray(q), p).tolist()
+    for bad in ([0.0] * (dim + 1), [[0.0] * dim], 0.0):
+        with pytest.raises(InputError):
+            m.dist_point(bad, 0)
+        with pytest.raises(InputError):
+            m.dist_point_many(bad, ids)
+
+
 def test_scalar_and_bulk_are_bit_identical():
     # verify_greedy_tree compares radii bitwise, so dist and dist_many
     # must agree to the last bit, not approximately.
@@ -168,6 +215,8 @@ def test_bulk_calls_reject_out_of_range_ids(bad):
 def test_constructor_validation():
     with pytest.raises(ConfigurationError):
         MinkowskiMetric("v", [[0.0]], p=3)
+    with pytest.raises(ConfigurationError):
+        MinkowskiMetric("v", np.zeros((4, 0)), p=2)
     with pytest.raises(ConfigurationError):
         ProductMetric([])
     with pytest.raises(ConfigurationError):

@@ -420,6 +420,14 @@ def _corrupt_center_type(obj):
     obj["nodes"][3]["center"] = "3"
 
 
+def _corrupt_duplicate_leaf(obj):
+    # a right-child leaf takes the root's point id: that id is then in two
+    # leaves and the leaf's own point in none
+    nodes = obj["nodes"]
+    r = next(rec["right"] for rec in nodes if "right" in rec and "right" not in nodes[rec["right"]])
+    nodes[r]["center"] = nodes[0]["center"]
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -432,6 +440,7 @@ def _corrupt_center_type(obj):
         _corrupt_left_center,
         _corrupt_record_type,
         _corrupt_center_type,
+        _corrupt_duplicate_leaf,
     ],
 )
 def test_from_obj_rejects_corrupt_nodes(corrupt):
