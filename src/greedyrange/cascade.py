@@ -4,9 +4,11 @@ The first factor gets a greedy tree over the whole dataset.  Every node
 of that tree carries an auxiliary structure over exactly its own points,
 built on the remaining factors; with one factor left the auxiliary is a
 plain greedy tree.  The auxiliaries form a list indexed like the primary
-tree's preorder nodes.  They are assembled bottom-up by merging the
-children's auxiliaries, which copies rather than consumes them, so child
-structures stay valid after their parent is built.
+tree's preorder nodes.  They are assembled bottom-up: a node's tree on
+the next factor is ``merge`` of its children's, which reruns the one
+greedy pass on the union and leaves the children's trees untouched, so
+child structures stay valid after their parent is built.  With two or
+more factors left, the merged tree is decorated in turn.
 
 A query peels one factor per level: a range cover on the primary tree,
 then one frontier search over the auxiliaries of all the cover nodes at
@@ -64,21 +66,21 @@ class GreedyRangeTree:
         return self.aux[node]
 
 
-def _decorate(tree: GreedyTree, rest: Sequence[MetricSpace], merge_mode: str) -> list[Any]:
+def _decorate(tree: GreedyTree, rest: Sequence[MetricSpace]) -> list[Any]:
     """Build an auxiliary per node of ``tree`` over the ``rest`` factors."""
     aux: list[Any] = [None] * len(tree.center)
     # Children have larger preorder indices than their parent.
     for i in reversed(tree.nodes()):
         r = tree.right[i]
         if r < 0:
-            aux[i] = build_grt([tree.center[i]], rest, merge_mode=merge_mode)
+            aux[i] = build_grt([tree.center[i]], rest)
         elif len(rest) == 1:
-            aux[i] = merge(aux[i + 1], aux[r], mode=merge_mode)
+            aux[i] = merge(aux[i + 1], aux[r])
         else:
-            primary = merge(aux[i + 1].primary, aux[r].primary, mode=merge_mode)
+            primary = merge(aux[i + 1].primary, aux[r].primary)
             aux[i] = GreedyRangeTree(
                 primary=primary,
-                aux=_decorate(primary, rest[1:], merge_mode),
+                aux=_decorate(primary, rest[1:]),
                 factors=list(rest),
             )
     return aux
@@ -89,7 +91,6 @@ def build_grt(
     factors: Sequence[MetricSpace],
     *,
     seed: int | str = "first",
-    merge_mode: str = "fast",
 ) -> GreedyRangeTree | GreedyTree:
     """Build the cascade for the given factors over the given points.
 
@@ -105,7 +106,7 @@ def build_grt(
         return tree
     return GreedyRangeTree(
         primary=tree,
-        aux=_decorate(tree, factors[1:], merge_mode),
+        aux=_decorate(tree, factors[1:]),
         factors=factors,
     )
 

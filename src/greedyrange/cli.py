@@ -64,13 +64,13 @@ def _coords_obj(dataset: Dataset) -> dict[str, Any]:
     return out
 
 
-def build_structure(dataset: Dataset, structure: str, *, seed: int | str = "first", merge_mode: str = "fast"):
+def build_structure(dataset: Dataset, structure: str, *, seed: int | str = "first"):
     if structure == "product-tree":
         pm = dataset.product()
         ids = dataset.ids().tolist()
         return build_greedy_tree(greedy_permutation(ids, pm, seed=seed), pm)
     if structure == "grt":
-        return build_grt(dataset.ids().tolist(), dataset.spaces(), seed=seed, merge_mode=merge_mode)
+        return build_grt(dataset.ids().tolist(), dataset.spaces(), seed=seed)
     raise InputError(f"unknown structure {structure!r}; expected one of {STRUCTURES}")
 
 
@@ -134,7 +134,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset, specs)
     seed: int | str = "first" if args.seed_point is None else args.seed_point
     t0 = time.perf_counter()
-    struct = build_structure(dataset, args.structure, seed=seed, merge_mode=args.merge)
+    struct = build_structure(dataset, args.structure, seed=seed)
     build_seconds = time.perf_counter() - t0
     evals_after_build = {s.name: sp.evals for s, sp in zip(dataset.specs, dataset.spaces())}
     spread: dict[str, Any] = {}
@@ -316,7 +316,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
         queries = _resolve_queries(workload, None)
         for structure in structures:
-            struct = build_structure(dataset, structure, merge_mode=args.merge)
+            struct = build_structure(dataset, structure)
             t0 = time.perf_counter()
             outcomes = [_run_one(struct, structure, q) for q in queries]
             wall = time.perf_counter() - t0
@@ -415,7 +415,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--structure", choices=STRUCTURES, default="grt")
     p.add_argument("--out", required=True, help="index output path")
     p.add_argument("--seed-point", type=int, default=None, help="greedy seed point id (default: first)")
-    p.add_argument("--merge", choices=("fast", "rebuild"), default="fast")
     p.set_defaults(fn=cmd_build)
 
     p = sub.add_parser("query", help="run a workload against an index")
@@ -445,7 +444,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", type=int, default=8)
     p.add_argument("--structure", default="both", help="product-tree, grt, or both")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--merge", choices=("fast", "rebuild"), default="fast")
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(fn=cmd_bench)
 

@@ -87,15 +87,18 @@ class MetricSpace(ABC):
         self.evals += ids.size
         return self._pairs(x, ids)
 
+    # Count after the kernel: it validates the payload q and may reject it.
     def dist_point(self, q: Any, y: int) -> float:
         y = self._check_id(y)
+        d = float(self._point(q, np.asarray([y], dtype=np.intp))[0])
         self.evals += 1
-        return float(self._point(q, np.asarray([y], dtype=np.intp))[0])
+        return d
 
     def dist_point_many(self, q: Any, ids: Any) -> np.ndarray:
         ids = _as_id_array(ids, self._n)
+        out = self._point(q, ids)
         self.evals += ids.size
-        return self._point(q, ids)
+        return out
 
 
 class AbsDiffMetric(MetricSpace):

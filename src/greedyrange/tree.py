@@ -227,134 +227,17 @@ def build_greedy_tree(gp: GreedyPermutation, metric: Metric) -> GreedyTree:
 # ---------------------------------------------------------------------------
 
 
-class _Overlay:
-    """Per-merge pruning state over an input tree's nodes.
-
-    Tracks, per node, the max nearest-predecessor distance over the
-    still-uninserted points below it, together with the smallest point id
-    attaining it.  A node whose ball provably cannot improve any of its
-    points is skipped whole; the strict inequality keeps skip decisions
-    exact, ties included, so fast merges match plain rebuilds node for node.
-    """
-
-    __slots__ = ("tree", "best_d", "best_id", "leaf_pos")
-
-    def __init__(self, t: GreedyTree, mind: list[float]) -> None:
-        self.tree = t
-        self.leaf_pos = dict(zip(t.leaves.tolist(), range(t.n)))
-        k = len(t.center)
-        self.best_d = [0.0] * k
-        self.best_id = [-1] * k
-        for i in range(k - 1, -1, -1):
-            if t.right[i] < 0:
-                pid = t.center[i]
-                if mind[pid] != -math.inf:
-                    self.best_d[i], self.best_id[i] = mind[pid], pid
-                else:
-                    self.best_d[i] = -math.inf
-            else:
-                self._combine(i)
-
-    def _combine(self, i: int) -> None:
-        l, r = i + 1, self.tree.right[i]
-        best_d, best_id = self.best_d, self.best_id
-        dl, dr = best_d[l], best_d[r]
-        if dl > dr:
-            best_d[i], best_id[i] = dl, best_id[l]
-        elif dr > dl:
-            best_d[i], best_id[i] = dr, best_id[r]
-        else:
-            best_d[i] = dl
-            il, ir = best_id[l], best_id[r]
-            best_id[i] = ir if il < 0 else il if ir < 0 else min(il, ir)
-
-    def mark_inserted(self, pid: int) -> None:
-        right, first = self.tree.right, self.tree.first
-        pos = self.leaf_pos[pid]
-        path = []
-        i = 0
-        while right[i] >= 0:
-            path.append(i)
-            i = right[i] if pos >= first[right[i]] else i + 1
-        self.best_d[i], self.best_id[i] = -math.inf, -1
-        for i in reversed(path):
-            self._combine(i)
-
-    def update(self, q: int, mind: list[float], parent: list[int], metric: Metric, cache: dict[int, float]) -> None:
-        """Lower nearest-predecessor distances after inserting q."""
-        center, radius, right = self.tree.center, self.tree.radius, self.tree.right
-        best_d = self.best_d
-        stack = [(0, False)]
-        while stack:
-            i, ready = stack.pop()
-            if best_d[i] == -math.inf:
-                continue
-            if ready:
-                self._combine(i)
-                continue
-            c = center[i]
-            d = cache.get(c)
-            if d is None:
-                d = metric.dist(q, c)
-                cache[c] = d
-            r = right[i]
-            if r < 0:
-                cur = mind[c]
-                if d < cur or (d == cur and q < parent[c]):
-                    if d < cur:
-                        mind[c] = d
-                        best_d[i] = d
-                    parent[c] = q
-                continue
-            if d - radius[i] > best_d[i]:
-                continue  # no point below can improve, even on ties
-            stack.append((i, True))
-            stack.append((r, False))
-            stack.append((i + 1, False))
-
-
-def _merged_permutation(a: GreedyTree, b: GreedyTree, metric: Metric, seed_id: int) -> GreedyPermutation:
-    pa, pb = a.leaves, b.leaves
-    size = int(max(pa.max(), pb.max())) + 1
-    mind_arr = np.full(size, np.nan)
-    parent_arr = np.full(size, -1, dtype=np.intp)
-    for pts in (pa, pb):
-        mind_arr[pts] = metric.dist_many(seed_id, pts)
-        parent_arr[pts] = seed_id
-    mind_arr[seed_id] = -np.inf
-    mind, parent = mind_arr.tolist(), parent_arr.tolist()
-
-    ov_a, ov_b = _Overlay(a, mind), _Overlay(b, mind)
-    order = [seed_id]
-    radii = [math.inf]
-    parents: list[int | None] = [None]
-    for _ in range(a.n + b.n - 1):
-        da, ia = ov_a.best_d[0], ov_a.best_id[0]
-        db, ib = ov_b.best_d[0], ov_b.best_id[0]
-        if da > db:
-            q = ia
-        elif db > da:
-            q = ib
-        else:
-            q = min(i for i in (ia, ib) if i >= 0)
-        order.append(q)
-        radii.append(mind[q])
-        parents.append(parent[q])
-        (ov_a if q in ov_a.leaf_pos else ov_b).mark_inserted(q)
-        cache: dict[int, float] = {}
-        ov_a.update(q, mind, parent, metric, cache)
-        ov_b.update(q, mind, parent, metric, cache)
-    return GreedyPermutation(order, radii, parents)
-
-
 def merge(a: GreedyTree, b: GreedyTree, *, mode: str = "fast") -> GreedyTree:
     """Combine two greedy trees over the same metric into a fresh one.
 
-    Inputs are never mutated.  Both modes rerun the exact greedy
-    algorithm on the union, seeded with the input root center of larger
-    eccentricity; "fast" prunes update rounds with the input trees'
-    balls, "rebuild" runs the plain quadratic pass.  Outputs of the two
-    modes are identical node for node.
+    Inputs are never mutated.  The result is the exact greedy tree of the
+    union: the quadratic ``greedy_permutation`` pass over the sorted
+    union, seeded with the input root center of larger eccentricity (the
+    smaller id on a tie).  "fast" and "rebuild" both run this one pass, so
+    they agree node for node by construction.  ``mode`` stays only because
+    the acceptance suite (tests/test_acceptance.py) calls both values;
+    "fast" is reserved for a sub-quadratic engine that must reproduce
+    this pass exactly.
     """
     if mode not in ("fast", "rebuild"):
         raise InputError(f"unknown merge mode {mode!r}")
@@ -378,12 +261,8 @@ def merge(a: GreedyTree, b: GreedyTree, *, mode: str = "fast") -> GreedyTree:
     else:
         seed_id = min(a.center[0], b.center[0])
 
-    if mode == "rebuild":
-        union = np.sort(np.concatenate([pa, pb]))
-        gp = greedy_permutation(union.tolist(), metric, seed=seed_id)
-    else:
-        gp = _merged_permutation(a, b, metric, seed_id)
-    return build_greedy_tree(gp, metric)
+    union = np.sort(np.concatenate([pa, pb]))
+    return build_greedy_tree(greedy_permutation(union.tolist(), metric, seed=seed_id), metric)
 
 
 # ---------------------------------------------------------------------------

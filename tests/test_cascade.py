@@ -73,13 +73,6 @@ def test_every_aux_covers_exactly_its_node(m, n):
     assert count > n  # primary plus one aux per node, at least
 
 
-def test_merge_modes_build_the_same_cascade():
-    ds = small_dataset(2, 35, seed=6)
-    a = build_grt(list(range(35)), ds.spaces(), merge_mode="fast")
-    b = build_grt(list(range(35)), ds.spaces(), merge_mode="rebuild")
-    assert grt_to_obj(a) == grt_to_obj(b)
-
-
 def test_grt_query_sandwich_and_exactness():
     rng = random.Random(2)
     for m, n in ((2, 45), (3, 20)):

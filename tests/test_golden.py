@@ -18,6 +18,14 @@ CASES = {
         "781dce3dac453d44508435b577fc681be2e40bef2f1d0d279861d6526fac0bea",
         "e1bcd8182d09e51faf5b198910ad5a70ceaf7f15c4da64dedfdddd413124030b",
     ),
+    # m = 3: every merge of the middle factor is decorated with merges
+    # of the last, so this pins nested cascades
+    "grt-m3": (
+        ["--factors", "l2:2,abs1d,abs1d", "--generator", "gaussian", "--n", "48"],
+        "grt",
+        "e413aa85cb3d5d0f8770a5d65cab0fdf7bc33d64fc2d3b816c271b4b2953ba87",
+        "0f7de7acbb0dc83a795b90b3ddfed4a6979af399ff4b1893a30db269bfbb0134",
+    ),
     "ptree-lev": (
         ["--factors", "levenshtein,abs1d", "--n", "48"],
         "product-tree",

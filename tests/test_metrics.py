@@ -260,6 +260,15 @@ def test_eval_counting():
     assert m.evals == 0
 
 
+def test_rejected_payload_is_not_counted():
+    m = MinkowskiMetric("v", [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], p=2)
+    with pytest.raises(InputError):
+        m.dist_point([1.0], 0)
+    with pytest.raises(InputError):
+        m.dist_point_many([1.0], [0, 1, 1])
+    assert m.evals == 0
+
+
 def test_product_charges_every_factor():
     xs = AbsDiffMetric("x", [0.0, 1.0])
     ys = AbsDiffMetric("y", [0.0, 1.0])
