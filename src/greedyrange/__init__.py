@@ -2,9 +2,9 @@
 
 The library builds greedy trees (farthest-point orderings folded into
 binary covering trees) over each factor of a product metric, answers
-product range queries through a best-first split engine with a per-query
-approximation knob, and ships a brute-force oracle so every answer can
-be checked against the containment contract:
+product range queries through a split engine that works in rounds, with
+a per-query approximation knob, and ships a brute-force oracle so every
+answer can be checked against the containment contract:
 
     exact(r) <= reported <= exact((1 + epsilon) * r)   per factor.
 """

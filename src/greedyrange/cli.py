@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -137,30 +138,14 @@ def cmd_build(args: argparse.Namespace) -> int:
     struct = build_structure(dataset, args.structure, seed=seed)
     build_seconds = time.perf_counter() - t0
     evals_after_build = {s.name: sp.evals for s, sp in zip(dataset.specs, dataset.spaces())}
-    spread: dict[str, Any] = {}
-    product_spread = None
-    duplicates = False
-    summary_seconds = 0.0
-    if dataset.n >= 2:
-        t0 = time.perf_counter()
-        summary = dataset_summary(dataset.product(), dataset.ids())
-        for name, st in summary.per_factor.items():
-            spread[name] = None if st.has_duplicates else st.spread
-            duplicates = duplicates or st.has_duplicates
-        product_spread = None if summary.product.has_duplicates else summary.product.spread
-        summary_seconds = time.perf_counter() - t0
     save_index(args.out, dataset, args.structure, struct)
     _print_report(
         {
             "structure": args.structure,
             "n": dataset.n,
             "m": dataset.m,
-            "spread": spread,
-            "product_spread": product_spread,
-            "has_duplicates": duplicates,
             "build_dist_evals": evals_after_build,
             "build_seconds": round(build_seconds, 6),
-            "summary_seconds": round(summary_seconds, 6),
             "out": str(args.out),
         }
     )
@@ -285,6 +270,10 @@ def _bench_values(args: argparse.Namespace) -> list[float]:
         raise InputError(f"bad sweep values {args.values!r}") from exc
     if not values:
         raise InputError("sweep needs at least one value")
+    if not all(math.isfinite(v) for v in values):
+        raise InputError(f"sweep values must be finite, got {args.values!r}")
+    if args.sweep == "n" and not all(v.is_integer() for v in values):
+        raise InputError(f"--sweep n needs integer values, got {args.values!r}")
     return values
 
 
@@ -356,7 +345,19 @@ def _depth_histogram(tree: GreedyTree) -> list[int]:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    """Size report for an index, plus its dataset's exact spreads from the
+    O(n^2) all-pairs scan of ``dataset_summary`` (null where a distance is
+    zero, and at n = 1, which has no pairs)."""
     structure, dataset, struct = load_index(args.index)
+    spread: dict[str, Any] = {spec.name: None for spec in dataset.specs}
+    product_spread = None
+    duplicates = False
+    if dataset.n >= 2:
+        summary = dataset_summary(dataset.product(), dataset.ids())
+        for name, st in summary.per_factor.items():
+            spread[name] = None if st.has_duplicates else st.spread
+            duplicates = duplicates or st.has_duplicates
+        product_spread = None if summary.product.has_duplicates else summary.product.spread
     primary = struct if isinstance(struct, GreedyTree) else struct.primary
     histogram = _depth_histogram(primary)
     rad, right = primary.radius, primary.right
@@ -369,6 +370,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
         "nodes_per_depth": histogram,
         "radius_inversions": sum(1 for i, r in enumerate(right) if r >= 0 and rad[r] > rad[i]),
         "index_bytes": Path(args.index).stat().st_size,
+        "spread": spread,
+        "product_spread": product_spread,
+        "has_duplicates": duplicates,
     }
     if structure == "grt":
         totals = aux_leaf_totals(struct)
@@ -447,7 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(fn=cmd_bench)
 
-    p = sub.add_parser("stats", help="size report for an index")
+    p = sub.add_parser("stats", help="size report and exact spreads (O(n^2)) for an index")
     p.add_argument("--index", required=True)
     p.set_defaults(fn=cmd_stats)
 

@@ -5,7 +5,9 @@ import json
 
 import pytest
 
+from greedyrange import cli
 from greedyrange.cli import load_index, main
+from greedyrange.metrics import dataset_summary
 from greedyrange.tree import verify_greedy_tree
 
 
@@ -77,38 +79,58 @@ def test_build_query_verify_pipeline(workspace, capsys, structure):
     report = json.loads(out)
     assert report["primary_nodes"] == 2 * 80 - 1
     assert sum(report["nodes_per_depth"]) == report["primary_nodes"]
-    _, _, struct = load_index(idx)
+    _, dataset, struct = load_index(idx)
     primary = struct if structure == "product-tree" else struct.primary
     assert report["radius_inversions"] == verify_greedy_tree(primary).radius_inversions
     assert report["index_bytes"] == idx.stat().st_size
     if structure == "grt":
         assert report["aux_leaf_totals"]["0"] == 80
+    summary = dataset_summary(dataset.product(), dataset.ids())
+    assert not any(st.has_duplicates for st in summary.per_factor.values())
+    assert report["has_duplicates"] is False
+    assert report["spread"] == {name: st.spread for name, st in summary.per_factor.items()}
+    assert report["product_spread"] == summary.product.spread
 
 
-def test_build_report_times_the_summary(workspace, capsys, tmp_path):
-    code, out, _ = run(
-        capsys, "build",
-        "--dataset", str(workspace / "d.jsonl"),
-        "--factors", str(workspace / "f.json"),
-        "--out", str(tmp_path / "i.idx"),
-    )
-    assert code == 0
-    report = json.loads(out)
-    assert report["summary_seconds"] >= 0 and report["build_seconds"] >= 0
-    # one point has no pairs, so the summary is skipped
-    (tmp_path / "one.jsonl").write_text(
-        json.dumps({"id": 0, "coords": {"x": 1.5}}) + "\n", encoding="utf-8"
-    )
-    (tmp_path / "one.json").write_text(json.dumps([{"name": "x", "kind": "abs1d"}]), encoding="utf-8")
-    code, out, err = run(
-        capsys, "build",
-        "--dataset", str(tmp_path / "one.jsonl"),
-        "--factors", str(tmp_path / "one.json"),
-        "--out", str(tmp_path / "one.idx"),
-    )
+def _write_points(tmp_path, name, xs):
+    """A one-factor abs1d dataset with the given coordinates."""
+    data, factors = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.json"
+    data.write_text("".join(json.dumps({"id": i, "coords": {"x": x}}) + "\n" for i, x in enumerate(xs)),
+                    encoding="utf-8")
+    factors.write_text(json.dumps([{"name": "x", "kind": "abs1d"}]), encoding="utf-8")
+    return data, factors
+
+
+def test_build_runs_no_summary(workspace, capsys, tmp_path, monkeypatch):
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("build must not run the all-pairs summary")
+
+    monkeypatch.setattr(cli, "dataset_summary", forbidden)
+    one = _write_points(tmp_path, "one", [1.5])
+    for (data, factors), n in [((workspace / "d.jsonl", workspace / "f.json"), 80), (one, 1)]:
+        code, out, err = run(capsys, "build", "--dataset", str(data), "--factors", str(factors),
+                             "--out", str(tmp_path / f"{n}.idx"))
+        assert code == 0, err
+        report = json.loads(out)
+        assert set(report) == {"structure", "n", "m", "build_dist_evals", "build_seconds", "out"}
+        assert report["n"] == n and report["build_seconds"] >= 0
+
+
+@pytest.mark.parametrize(
+    "xs, spread, has_duplicates",
+    [([1.5], None, False), ([2.0, 2.0], None, True), ([0.0, 1.0, 4.0], 4.0, False)],
+)
+def test_stats_spreads_on_small_indexes(capsys, tmp_path, xs, spread, has_duplicates):
+    data, factors = _write_points(tmp_path, "small", xs)
+    idx = tmp_path / "small.idx"
+    code, _, err = run(capsys, "build", "--dataset", str(data), "--factors", str(factors), "--out", str(idx))
+    assert code == 0, err
+    code, out, err = run(capsys, "stats", "--index", str(idx))
     assert code == 0, err
     report = json.loads(out)
-    assert report["n"] == 1 and report["summary_seconds"] == 0.0
+    assert report["spread"] == {"x": spread}
+    assert report["product_spread"] == spread
+    assert report["has_duplicates"] is has_duplicates
 
 
 def test_tampered_results_fail_verification(workspace, capsys):
@@ -334,6 +356,15 @@ def test_bench_csv_shape(tmp_path, capsys):
     code, _, err = run(capsys, "bench", "--factors", "spherical", "--sweep", "n",
                        "--values", "8", "--out", str(out))
     assert code == 2
+
+
+@pytest.mark.parametrize("sweep, value", [("n", "inf"), ("n", "nan"), ("n", "2.5"), ("aspect-ratio", "nan")])
+def test_bench_rejects_non_finite_and_fractional_values(tmp_path, capsys, sweep, value):
+    out = tmp_path / "bench.csv"
+    code, _, err = run(capsys, "bench", "--factors", "abs1d", "--sweep", sweep,
+                       "--values", f"8,{value}", "--n", "16", "--queries", "2", "--out", str(out))
+    assert code == 2 and "error:" in err
+    assert not out.exists()
 
 
 def test_usage_errors_exit_2(capsys):

@@ -39,21 +39,6 @@ def test_eval_count_is_exactly_n_times_m():
     assert xs.evals == n and ys.evals == n
 
 
-def test_short_circuit_same_answer_fewer_evals():
-    n = 50
-    rng = random.Random(1)
-    xs = AbsDiffMetric("x", [rng.uniform(0, 10) for _ in range(n)])
-    ys = AbsDiffMetric("y", [rng.uniform(0, 10) for _ in range(n)])
-    q, radii = (5.0, 5.0), (0.5, 4.0)
-    full = exact_product_range([xs, ys], q, radii, range(n))
-    xs.evals = 0
-    ys.evals = 0
-    fast = exact_product_range([xs, ys], q, radii, range(n), short_circuit=True)
-    assert fast == full
-    assert xs.evals == n
-    assert ys.evals < n  # a tight first factor prunes most points
-
-
 def test_matches_independent_scan():
     rng = random.Random(8)
     n = 40
