@@ -13,7 +13,9 @@ more factors left, the merged tree is decorated in turn.
 A query peels one factor per level: a range cover on the primary tree,
 then one frontier search over the auxiliaries of all the cover nodes at
 once (their trees share the level's factor and its point ids), whose
-reported nodes select the auxiliaries of the next level.
+reported nodes select the auxiliaries of the next level.  Small subtrees
+that search finds are scanned exactly on every remaining factor at once,
+so their points skip the deeper levels.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Sequence
 
+from . import search
 from .errors import InputError
 from .metrics import MetricSpace
 from .search import ProductQuery, SearchStats, _frontier_search, _points, range_cover, range_report
@@ -117,8 +120,10 @@ def grt_query(struct: GreedyRangeTree | GreedyTree, query: ProductQuery) -> tupl
     Same sandwich contract as the single-tree search, with the same eps
     applied at every level.  Level 0 is a range cover (or report) on the
     top tree; each deeper level searches the auxiliaries of every cover
-    node from the level above in one frontier search.  Width and height
-    are maxima over the levels; splits and per-factor evaluations add up.
+    node from the level above in one frontier search.  A bucket found at
+    level i >= 1 is scanned exactly on factors i..m-1, and its points
+    skip the deeper levels.  Width and height are maxima over the levels;
+    splits and per-factor evaluations add up.
     """
     m = len(query.radii)
     declared = struct.m if isinstance(struct, GreedyRangeTree) else 1
@@ -132,15 +137,21 @@ def grt_query(struct: GreedyRangeTree | GreedyTree, query: ProductQuery) -> tupl
     width, height, splits = stats.width, stats.height, stats.splits
     evals = [stats.dist_evals[0]] + [0] * (m - 1)
     level = [struct.aux[v] for v in cover.nodes]
+    points: set[int] = set()
     for i in range(1, m):
         trees = [s.primary if isinstance(s, GreedyRangeTree) else s for s in level]
-        outs, stats = _frontier_search(trees, [struct.factors[i]], [coords[i]], [radii[i]], eps)
+        scan = list(zip(struct.factors[i:], coords[i:], radii[i:]))
+        outs, hits, stats = _frontier_search(
+            trees, [struct.factors[i]], [coords[i]], [radii[i]], eps,
+            leaf_size=search.LEAF_SIZE, scan=scan,
+        )
         width, height = max(width, stats.width), max(height, stats.height)
         splits += stats.splits
-        evals[i] = stats.dist_evals[0]
+        for j, count in enumerate(stats.dist_evals, start=i):
+            evals[j] += count
+        points.update(hits.tolist())
         if i < m - 1:
             level = [s.aux[v] for s, nodes in zip(level, outs) for v in nodes]
-    points: set[int] = set()
     for t, nodes in zip(trees, outs):
         points |= _points(t, nodes)
     return points, SearchStats(width, height, splits, tuple(evals), len(points))

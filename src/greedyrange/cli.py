@@ -384,9 +384,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_gen(args: argparse.Namespace) -> int:
     specs = _parse_factor_string(args.factors)
     dataset = synth_dataset(specs, args.n, layout=args.generator, seed=args.seed)
-    write_dataset(args.dataset_out, dataset)
-    with open(args.factors_out, "w", encoding="utf-8") as fh:
-        json.dump([spec.to_obj() for spec in dataset.specs], fh)
+    # Draw the workload first, so that a rejected parameter writes no file.
+    workload = None
     if args.workload_out is not None:
         workload = calibrated_queries(
             dataset,
@@ -396,6 +395,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
             aspect=args.aspect,
             seed=args.seed + 1,
         )
+    write_dataset(args.dataset_out, dataset)
+    with open(args.factors_out, "w", encoding="utf-8") as fh:
+        json.dump([spec.to_obj() for spec in dataset.specs], fh)
+    if workload is not None:
         write_workload(args.workload_out, dataset.specs, workload)
     print(f"wrote n={dataset.n} dataset to {args.dataset_out}")
     return 0

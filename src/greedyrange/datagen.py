@@ -85,8 +85,10 @@ def calibrated_queries(
         raise InputError("query count must be >= 1")
     if not 0 < selectivity <= 1:
         raise InputError("selectivity must be in (0, 1]")
-    if aspect < 1:
-        raise InputError("aspect must be >= 1")
+    if not 1 <= aspect < math.inf:
+        raise InputError(f"aspect must be finite and >= 1, got {aspect}")
+    if not 0 <= epsilon < math.inf:
+        raise InputError(f"epsilon must be nonnegative and finite, got {epsilon}")
     rng = np.random.default_rng(seed)
     spaces = dataset.spaces()
     m = dataset.m

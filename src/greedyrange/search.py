@@ -13,6 +13,18 @@ per factor.  Factor ``i`` sees only the centers that factor ``i-1``
 kept, so the per-factor counts equal those of a node-at-a-time loop
 that stops at the first pruning factor.
 
+An entered node above the cutoff that fails the whole-node test and
+holds at most ``leaf_size`` points is a bucket: it is not split, and
+its points join one exact scan after the last round.  The scan makes
+one ``dist_point_many`` per scanned factor over the points that passed
+the factor before, and tests each point at ``r_i``, never at
+``(1+eps)*r_i``, so buckets only move the output toward the exact
+answer.  Small subtrees are where splitting costs the most per point:
+scanning them in one vectorized call beats visiting their nodes one by
+one (the bucket size of k-d trees, the ``leaf_size`` of ball trees).
+With a bound of 1 there are no buckets, since leaves have radius 0 and
+always sit below the cutoff.
+
 The halved cutoff is load-bearing: an entered node only promises its
 points within ``r_i + 2 * radius`` per factor, so reporting at
 ``eps * min(r_i)`` can leak points past the ``(1+eps)`` expansion
@@ -25,14 +37,15 @@ with set containment on both sides, for every input.  At eps = 0 the
 search splits down to radius-zero nodes and the output is exact.
 
 Visiting order does not matter.  A node enters iff its parent split and
-it passes the entry test, and it splits iff it entered above the cutoff
-and fails the whole-node test; neither depends on when it is visited.
-So the output, the splits, the split depths and the evaluation counts
-equal those of a best-first loop that pops the largest radius first
-and reports what is still queued once every radius is at most the
-cutoff.  Only that loop's peak heap size depends on order, and it is
-replayed afterwards from the entered and split nodes with no distance
-work (``_replay_width``).
+it passes the entry test, and it splits iff it entered above the cutoff,
+fails the whole-node test and is no bucket; none of this depends on when
+it is visited.  So the output, the splits, the split depths and the
+evaluation counts equal those of a best-first loop that pops the largest
+radius first, reports a popped bucket as it reports a whole node, and
+reports what is still queued once every radius is at most the cutoff.
+Only that loop's peak heap size depends on order, and it is replayed
+afterwards from the entered and split nodes with no distance work
+(``_replay_width``).
 """
 
 from __future__ import annotations
@@ -56,6 +69,11 @@ __all__ = [
     "range_cover",
     "range_report",
 ]
+
+# The bucket bound of the product-tree search and of the cascade's levels
+# after the first.  Scans of up to this many points per bucket cost less
+# than the node visits they replace; CHANGES.md records the measurement.
+LEAF_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -92,11 +110,14 @@ class SearchStats:
     width: peak heap size of the equivalent best-first loop (largest
       radius first, ties to the smaller center id), replayed after the
       search; the maximum over the trees when several are searched.
+      Only split nodes push children, and a bucket is popped like a node
+      reported whole, so buckets keep the width small.
     height: max number of splits along any single point's node chain.
-    splits: total split events.
-    dist_evals: distance evaluations per factor (left-child tests reuse
-      the parent's center distances, so these can undercut naive counts).
-    output_size: points reported.
+    splits: total split events; buckets are not split.
+    dist_evals: distance evaluations per factor, the bucket scan's
+      included (left-child tests reuse the parent's center distances, so
+      these can undercut naive counts).
+    output_size: points reported, scanned points that passed included.
     """
 
     width: int
@@ -132,22 +153,32 @@ def _frontier_search(
     coords: Sequence[Any],
     radii: Sequence[float],
     epsilon: float,
-    probe: Callable[[list[list[int]], list[tuple]], None] | None = None,
-) -> tuple[list[list[int]], SearchStats]:
+    leaf_size: int = 1,
+    scan: Sequence[tuple[MetricSpace | ProductMetric, Any, float]] | None = None,
+    probe: Callable[[list[list[int]], list[list[int]], list[tuple]], None] | None = None,
+) -> tuple[list[list[int]], np.ndarray, SearchStats]:
     """Search every tree from its root in rounds; see the module docstring.
 
-    All trees index ``factors`` by the same point ids.  Returns the
-    reported node indices of each tree, and stats with width and height
-    as maxima and splits and evaluations as sums over the trees.
-    ``probe`` (debug) sees the output and the frontier after every
-    round's entry tests.
+    All trees index ``factors`` by the same point ids.  Nodes above the
+    cutoff with at most ``leaf_size`` points are buckets.  Their points
+    are tested exactly against the ``(factor, coord, radius)`` triples of
+    ``scan``, which default to the searched factors and must begin with
+    them.  Returns the reported node indices of each tree, the scanned
+    point ids that passed every triple, and stats with width and height
+    as maxima and splits and evaluations as sums over the trees; the
+    evaluations have one entry per scan triple.  ``probe`` (debug) sees
+    the reported nodes, the buckets and the frontier after every round's
+    entry tests.
     """
-    cols = [(t.center, t.radius, t.right) for t in trees]
+    if scan is None:
+        scan = list(zip(factors, coords, radii))
+    cols = [(t.center, t.radius, t.right, t.count) for t in trees]
     m = len(factors)
-    evals = [0] * m
+    evals = [0] * len(scan)
     expanded = [(1.0 + epsilon) * r for r in radii]
     cutoff = epsilon * min(radii) / 2.0
     out: list[list[int]] = [[] for _ in trees]
+    buckets: list[list[int]] = [[] for _ in trees]
     split: list[set[int]] = [set() for _ in trees]
     height = 0
     # Entries: (tree, node, split depth, radius, center dists so far).
@@ -175,7 +206,7 @@ def _frontier_search(
                     kept.append(e)
             frontier = kept
         if probe is not None:
-            probe(out, frontier)
+            probe(out, buckets, frontier)
         if not frontier:
             break
         fresh, ids = [], []
@@ -191,12 +222,15 @@ def _frontier_search(
             else:
                 out[k].append(v)
                 continue
+            center, radius, right, count = cols[k]
+            if count[v] <= leaf_size:
+                buckets[k].append(v)
+                continue
             # Above the cutoff every node is internal: leaves have radius 0.
             split[k].add(v)
             depth += 1
             if depth > height:
                 height = depth
-            center, radius, right = cols[k]
             rl = radius[v + 1]
             for d, ri in zip(ds, radii):
                 if d > ri + rl:
@@ -207,18 +241,28 @@ def _frontier_search(
             fresh.append((k, c, depth, radius[c], []))
             ids.append(center[c])
 
+    hits = np.empty(0, dtype=np.intp)
+    if any(buckets):
+        hits = np.concatenate([subtree_points(t, v) for t, vs in zip(trees, buckets) for v in vs])
+        for j, (factor, q, r) in enumerate(scan):
+            row = factor.dist_point_many(q, hits)
+            evals[j] += len(hits)
+            hits = hits[row <= r]
+            if not len(hits):
+                break
+
     width = 0
-    for t, nodes, sp in zip(trees, out, split):
-        if nodes or sp:
-            width = max(width, _replay_width(t, sp, set(nodes), cutoff))
+    for t, nodes, bs, sp in zip(trees, out, buckets, split):
+        if nodes or bs or sp:
+            width = max(width, _replay_width(t, sp, set(nodes).union(bs), cutoff))
     stats = SearchStats(
         width=width,
         height=height,
         splits=sum(len(sp) for sp in split),
         dist_evals=tuple(evals),
-        output_size=sum(t.count[v] for t, nodes in zip(trees, out) for v in nodes),
+        output_size=sum(t.count[v] for t, nodes in zip(trees, out) for v in nodes) + len(hits),
     )
-    return out, stats
+    return out, hits, stats
 
 
 def _replay_width(t: GreedyTree, split: set[int], reported: set[int], cutoff: float) -> int:
@@ -227,8 +271,8 @@ def _replay_width(t: GreedyTree, split: set[int], reported: set[int], cutoff: fl
     That loop pops by (-radius, center id), a total order because the
     centers of queued nodes are distinct, so the replay pops in its
     order.  The root entered; a node entered iff it split or was
-    reported.  Nodes at or below the cutoff are never popped and only
-    count toward the size.
+    reported, a bucket counting as reported.  Nodes at or below the
+    cutoff are never popped and only count toward the size.
     """
     center, radius, right = t.center, t.radius, t.right
     heap = [(-radius[0], center[0], 0)] if radius[0] > cutoff else []
@@ -256,39 +300,25 @@ def _points(t: GreedyTree, nodes: Iterable[int]) -> set[int]:
     return points
 
 
-def product_range_query(
-    t: GreedyTree,
-    query: ProductQuery,
-    coverage_check: Iterable[int] | None = None,
-) -> tuple[set[int], SearchStats]:
+def product_range_query(t: GreedyTree, query: ProductQuery) -> tuple[set[int], SearchStats]:
     """Report points within the query radii, factor by factor.
 
     The tree must be built over the product of the query's factors.
     Output is sandwiched between the exact answer and the answer at
-    radii scaled by (1+eps).  ``coverage_check`` (debug): after every
-    round's entry tests, raise AssertionError (also under ``python -O``)
-    unless each given point id is still covered by the output or the
-    frontier.
+    radii scaled by (1+eps).  Subtrees of at most ``LEAF_SIZE`` points
+    are scanned exactly instead of split.
     """
     metric = t.metric
     if not isinstance(metric, ProductMetric):
         raise InputError("product_range_query needs a tree over a product metric")
     if len(query.radii) != metric.m:
         raise InputError(f"query has {len(query.radii)} radii but the tree has {metric.m} factors")
-    probe = None
-    if coverage_check is not None:
-        expected = list(coverage_check)
-
-        def probe(out: list[list[int]], frontier: list[tuple]) -> None:
-            covered = _points(t, out[0] + [entry[1] for entry in frontier])
-            lost = [p for p in expected if p not in covered]
-            if lost:
-                raise AssertionError(f"exact answer points {lost} dropped from output + frontier")
-
-    (nodes,), stats = _frontier_search(
-        [t], metric.factors, query.coords, query.radii, query.epsilon, probe=probe
+    (nodes,), hits, stats = _frontier_search(
+        [t], metric.factors, query.coords, query.radii, query.epsilon, leaf_size=LEAF_SIZE
     )
-    return _points(t, nodes), stats
+    points = _points(t, nodes)
+    points.update(hits.tolist())
+    return points, stats
 
 
 def range_cover(
@@ -302,13 +332,14 @@ def range_cover(
     Treats the tree's metric as one factor (a product works as a whole).
     Every returned node lies inside the ball of radius (1+eps)*radius
     around q, their point sets are pairwise disjoint, and together they
-    cover every dataset point within ``radius`` of q.
+    cover every dataset point within ``radius`` of q.  It makes no
+    buckets, since a bucket's points are not a node cover.
     """
     if not 0 < radius < math.inf:
         raise InputError(f"radius must be positive and finite, got {radius}")
     if not 0 <= epsilon < math.inf:
         raise InputError(f"epsilon must be nonnegative and finite, got {epsilon}")
-    (nodes,), stats = _frontier_search([t], [t.metric], [q], [radius], epsilon)
+    (nodes,), _, stats = _frontier_search([t], [t.metric], [q], [radius], epsilon)
     return NodeCover(tree=t, nodes=tuple(nodes)), stats
 
 

@@ -3,7 +3,8 @@
 Everything here is written the slow, obvious way: plain dicts, explicit
 loops, scalar arithmetic.  No numpy, no shared code with the package.
 The reference searches at the end read the package's tree columns and
-call its scalar ``dist_point``, nothing else.
+call its scalar ``dist_point``, nothing else.  The probe wrappers at the
+very end are the exception: they drive the package's own search.
 """
 
 from __future__ import annotations
@@ -141,20 +142,27 @@ def scalar_levenshtein(a: str, b: str) -> float:
 
 # ---------------------------------------------------------------------------
 # Reference searches: the original one-node-at-a-time best-first loop and
-# the recursive cascade walk over it.  They return what the package's
-# search returned before it worked in rounds, stats included, so the
-# batched search can be held to them.
+# the recursive cascade walk over it.  At the default bound of 1 they return
+# what the package's search returned before it worked in rounds, stats
+# included, so the batched search can be held to them.  A larger bound adds
+# buckets: a popped node of at most ``leaf_size`` points that is not
+# reported whole has its points tested one by one instead of splitting.
 # ---------------------------------------------------------------------------
 
 
-def reference_heap_search(t, factors, coords, radii, epsilon):
+def reference_heap_search(t, factors, coords, radii, epsilon, leaf_size=1, scan=None):
     """Best-first search from the root of nonempty ``t``.
 
-    Returns (node indices, (width, height, splits, dist_evals, output_size)).
+    ``scan`` lists the (factor, coord, radius) triples that bucket points
+    are tested against, the searched factors by default.  Returns (node
+    indices, bucket points that passed every triple, (width, height,
+    splits, dist_evals, output_size)); dist_evals has one entry per triple.
     """
+    if scan is None:
+        scan = list(zip(factors, coords, radii))
     center, radius, right = t.center, t.radius, t.right
     m = len(factors)
-    evals = [0] * m
+    evals = [0] * len(scan)
     expanded = [(1.0 + epsilon) * r for r in radii]
     cutoff = epsilon * min(radii) / 2.0
 
@@ -177,12 +185,15 @@ def reference_heap_search(t, factors, coords, radii, epsilon):
     height = 0
     splits = 0
     out = []
+    buckets = []
 
     while heap and -heap[0][0] > cutoff:
         neg_r, _, depth, node, dists = heapq.heappop(heap)
         r = -neg_r
         if all(dists[i] <= expanded[i] - r for i in range(m)):
             out.append(node)
+        elif t.count[node] <= leaf_size:
+            buckets.append(node)
         elif right[node] >= 0:
             splits += 1
             depth += 1
@@ -215,8 +226,16 @@ def reference_heap_search(t, factors, coords, radii, epsilon):
         # radii (survival test with radius 0), so it always reports.
 
     out.extend(entry[3] for entry in heap)
-    output_size = sum(t.count[v] for v in out)
-    return out, (width, height, splits, tuple(evals), output_size)
+    hits = set()
+    for p in reference_points(t, buckets):
+        for j, (factor, q, rj) in enumerate(scan):
+            evals[j] += 1
+            if factor.dist_point(q, p) > rj:
+                break
+        else:
+            hits.add(p)
+    output_size = sum(t.count[v] for v in out) + len(hits)
+    return out, hits, (width, height, splits, tuple(evals), output_size)
 
 
 def reference_points(t, nodes) -> set[int]:
@@ -226,26 +245,33 @@ def reference_points(t, nodes) -> set[int]:
     return points
 
 
-def reference_grt_query(struct, coords, radii, epsilon):
+def reference_grt_query(struct, coords, radii, epsilon, leaf_size=1):
     """Recursive cascade walk: one reference search per structure.
 
+    The top tree searches without buckets; below it, a bucket at level i
+    is tested on factors i..m-1 and its points skip the deeper levels.
     Returns (points, (width, height, splits, dist_evals, output_size)),
     with width and height as maxima over the sub-searches and splits and
-    per-level evaluations as sums.
+    per-factor evaluations as sums.
     """
     m = len(radii)
+    factors = struct.factors if hasattr(struct, "primary") else [struct.metric]
     agg = {"width": 0, "height": 0, "splits": 0, "evals": [0] * m}
     points: set[int] = set()
 
     def walk(s, level):
         t = s.primary if hasattr(s, "primary") else s
-        nodes, (width, height, splits, evals, _) = reference_heap_search(
-            t, [t.metric], [coords[level]], [radii[level]], epsilon
+        scan = list(zip(factors[level:], coords[level:], radii[level:]))
+        nodes, hits, (width, height, splits, evals, _) = reference_heap_search(
+            t, [t.metric], [coords[level]], [radii[level]], epsilon,
+            leaf_size=leaf_size if level else 1, scan=scan,
         )
         agg["width"] = max(agg["width"], width)
         agg["height"] = max(agg["height"], height)
         agg["splits"] += splits
-        agg["evals"][level] += evals[0]
+        for j, count in enumerate(evals, start=level):
+            agg["evals"][j] += count
+        points.update(hits)
         if t is s:
             points.update(reference_points(t, nodes))
             return
@@ -255,3 +281,59 @@ def reference_grt_query(struct, coords, radii, epsilon):
     walk(struct, 0)
     stats = (agg["width"], agg["height"], agg["splits"], tuple(agg["evals"]), len(points))
     return points, stats
+
+
+# ---------------------------------------------------------------------------
+# Probe wrappers: the package's search takes a debug hook that sees the
+# reported nodes, the buckets and the frontier after every round.  It is
+# driven from here, so the public API carries no test-only parameter.
+# ---------------------------------------------------------------------------
+
+
+def probed_product_search(t, query, expected, leaf_size):
+    """Product-tree search that checks coverage after every round.
+
+    After each round's entry tests, raise AssertionError (also under
+    ``python -O``) unless every point id in ``expected`` lies under a
+    reported node, a bucket (its exact scan comes later) or a frontier
+    node.  Returns the reported points and the stats.
+    """
+    from greedyrange.search import _frontier_search
+
+    expected = list(expected)
+
+    def probe(out, buckets, frontier):
+        covered = reference_points(t, out[0] + buckets[0] + [entry[1] for entry in frontier])
+        lost = [p for p in expected if p not in covered]
+        if lost:
+            raise AssertionError(f"exact answer points {lost} dropped from output + buckets + frontier")
+
+    (nodes,), hits, stats = _frontier_search(
+        [t], t.metric.factors, query.coords, query.radii, query.epsilon,
+        leaf_size=leaf_size, probe=probe,
+    )
+    return reference_points(t, nodes) | {int(p) for p in hits}, stats
+
+
+def bucket_log(monkeypatch, module):
+    """Log every search that ``module`` runs through ``_frontier_search``.
+
+    Each entry is (scan length, bucket count, split count, dist_evals),
+    the buckets read by the probe after the last round.
+    """
+    original = module._frontier_search
+    log = []
+
+    def logged(*args, **kwargs):
+        found = [0]
+
+        def probe(out, buckets, frontier):
+            found[0] = sum(len(b) for b in buckets)
+
+        out, hits, stats = original(*args, probe=probe, **kwargs)
+        scan = kwargs.get("scan") or args[1]
+        log.append((len(scan), found[0], stats.splits, stats.dist_evals))
+        return out, hits, stats
+
+    monkeypatch.setattr(module, "_frontier_search", logged)
+    return log

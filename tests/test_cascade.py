@@ -1,5 +1,6 @@
 """Cascaded trees: construction, queries, space accounting, IO."""
 
+import functools
 import random
 
 import pytest
@@ -25,6 +26,7 @@ from greedyrange import (
     tree_to_obj,
     verify_greedy_tree,
 )
+from greedyrange import cascade, search
 from greedyrange.cli import build_structure
 from greedyrange.tree import subtree_points
 
@@ -197,9 +199,11 @@ def test_from_obj_validation():
 
 
 @pytest.mark.parametrize("m,n", [(2, 60), (3, 24)])
-def test_level_rounds_match_recursive_reference(m, n):
+def test_level_rounds_match_recursive_reference(m, n, monkeypatch):
     # One frontier search per level must answer and count exactly as a
-    # recursive walk that searches every auxiliary on its own.
+    # recursive walk that searches every auxiliary on its own.  The walk
+    # splits every node, so the levels search without buckets.
+    monkeypatch.setattr(search, "LEAF_SIZE", 1)
     ds = small_dataset(m, n, seed=20 + m)
     grt = build_grt(list(range(n)), ds.spaces())
     rng = random.Random(m)
@@ -211,3 +215,44 @@ def test_level_rounds_match_recursive_reference(m, n):
             want, want_stats = helpers.reference_grt_query(grt, coords, radii, eps)
             assert got == want
             assert (stats.width, stats.height, stats.splits, stats.dist_evals, stats.output_size) == want_stats
+
+
+# ---------------------------------------------------------------------------
+# Buckets against the oracle, on cascades several times LEAF_SIZE: a bucket
+# at level i is scanned on factors i..m-1 and skips the deeper levels.
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def bucket_cascade(m, n):
+    specs = [FactorSpec("a", "abs1d"), FactorSpec("v", "l2", dim=2), FactorSpec("b", "abs1d")][:m]
+    ds = synth_dataset(specs, n, layout="uniform", seed=m)
+    return ds, build_grt(list(range(n)), ds.spaces())
+
+
+@pytest.mark.parametrize("m,n", [(2, 6 * search.LEAF_SIZE), (3, 4 * search.LEAF_SIZE)])
+@pytest.mark.parametrize("eps", [0.0, 0.5, 4.0])
+def test_buckets_match_oracle(m, n, eps, monkeypatch):
+    ds, grt = bucket_cascade(m, n)
+    spaces = ds.spaces()
+    log = helpers.bucket_log(monkeypatch, cascade)
+    rng = random.Random(10 * m + int(eps * 10))
+    for _ in range(12):
+        coords = ds.payloads(rng.randrange(n))
+        radii = tuple(rng.uniform(0.15, 0.5) for _ in range(m))
+        before = [f.evals for f in spaces]
+        got, stats = grt_query(grt, ProductQuery(coords=coords, radii=radii, epsilon=eps))
+        assert stats.dist_evals == tuple(f.evals - b for f, b in zip(spaces, before))
+        exact = exact_product_range(spaces, coords, radii, range(n))
+        outer = exact_product_range(spaces, coords, [(1 + eps) * r for r in radii], range(n))
+        assert sandwich_check(got, exact, outer).passed
+        if eps == 0.0:
+            assert got == exact
+        want, want_stats = helpers.reference_grt_query(grt, coords, radii, eps, leaf_size=search.LEAF_SIZE)
+        assert got == want
+        assert (stats.width, stats.height, stats.splits, stats.dist_evals, stats.output_size) == want_stats
+    # Some level splits before it buckets; with m = 3 some middle-level
+    # bucket is scanned on both of the factors left.
+    assert any(buckets and splits for _, buckets, splits, _ in log)
+    if m == 3:
+        assert any(k == 2 and buckets and evals[1] for k, buckets, _, evals in log)

@@ -367,6 +367,19 @@ def test_bench_rejects_non_finite_and_fractional_values(tmp_path, capsys, sweep,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--aspect", "nan"), ("--aspect", "inf"), ("--epsilon", "nan"), ("--epsilon", "inf"), ("--epsilon", "-1")]
+)
+def test_gen_rejects_bad_workload_parameters(tmp_path, capsys, flag, value):
+    # NaN and infinite radii or epsilons are not valid JSON in a workload.
+    w = tmp_path / "w.jsonl"
+    code, _, err = run(capsys, "gen", "--factors", "abs1d,abs1d", "--n", "16", "--queries", "2", f"{flag}={value}",
+                       "--dataset-out", str(tmp_path / "d.jsonl"), "--factors-out", str(tmp_path / "f.json"),
+                       "--workload-out", str(w))
+    assert code == 2 and "error:" in err
+    assert not any(tmp_path.iterdir())  # no dataset, factors or workload file
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["build"])  # missing required flags

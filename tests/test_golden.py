@@ -16,7 +16,15 @@ CASES = {
         ["--factors", "l2:2,abs1d", "--generator", "gaussian", "--n", "64"],
         "grt",
         "781dce3dac453d44508435b577fc681be2e40bef2f1d0d279861d6526fac0bea",
-        "e1bcd8182d09e51faf5b198910ad5a70ceaf7f15c4da64dedfdddd413124030b",
+        "902c82abe52f8d22743a34d2f868e5cb7d2d826c9a611b8e82e7cbeff2492082",
+    ),
+    # n = 512: the primary search splits, and the level-1 searches scan
+    # buckets
+    "grt-l2xabs-512": (
+        ["--factors", "l2:2,abs1d", "--n", "512"],
+        "grt",
+        "c9d841d161c42c9577d5e426b3a6a65407b6543536ac8614f60a9e9220ffc54b",
+        "aca0c87b470dc2ebab469d4e7a8652a876cf5159bb98e40ff142998a0db5bbe3",
     ),
     # m = 3: every merge of the middle factor is decorated with merges
     # of the last, so this pins nested cascades
@@ -24,19 +32,19 @@ CASES = {
         ["--factors", "l2:2,abs1d,abs1d", "--generator", "gaussian", "--n", "48"],
         "grt",
         "e413aa85cb3d5d0f8770a5d65cab0fdf7bc33d64fc2d3b816c271b4b2953ba87",
-        "0f7de7acbb0dc83a795b90b3ddfed4a6979af399ff4b1893a30db269bfbb0134",
+        "b7105bde782a27207faed2b19c5c284fbc3d535807b3b4669908aeb319f2195c",
     ),
     "ptree-lev": (
         ["--factors", "levenshtein,abs1d", "--n", "48"],
         "product-tree",
         "e0fe78dba4b66b2a839b26b9161739f841c5c8594b06785be9687d17bd4545bb",
-        "def61e6cb653a97d0ab9b377ce5899703addda43f400f185bcd2a40c14ad5dd5",
+        "f0064410178374ee0d5efbc807bdf106ac611668a590cd3ecc8b00152d59414c",
     ),
     "ptree-l2x2": (
         ["--factors", "l2:2,l2:2", "--n", "256"],
         "product-tree",
         "d03196198ca9159ca93d0106ce205c41bded5f063b8884211906164a27d2eb1e",
-        "db514b782c36ddf17a15fea739147b4e7ca5cd668d4f9828898a4e8b98fcbcd8",
+        "b5efb8b0547bf395f63b4c2e3a02ec36cf3f89d9ccdc8a88975d50b472f7fe53",
     ),
     # dim 9 is past numpy's 8-wide pairwise blocks, so this pins the
     # left-to-right coordinate sum of MinkowskiMetric
@@ -44,7 +52,7 @@ CASES = {
         ["--factors", "l2:9,abs1d", "--n", "64"],
         "product-tree",
         "a4f7b7ff803f78f67159df56690474791896c802ed1d2dc782a1e31d970822b7",
-        "2773e47d059740c455e9d80e325950a56a3f0e796f17d2dbff2491ba9b6d91e1",
+        "d4667d5f11137d75eabf256cec4be53077270b7ee372bf50d8fe10e55e5c3bff",
     ),
 }
 

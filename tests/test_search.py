@@ -29,7 +29,7 @@ from greedyrange import (
     sandwich_check,
     synth_dataset,
 )
-from greedyrange.search import _frontier_search
+from greedyrange.search import LEAF_SIZE, _frontier_search
 from greedyrange.tree import subtree_points
 
 
@@ -114,14 +114,15 @@ def test_randomized_sandwich(eps):
 
 def test_coverage_probe_accepts_valid_runs():
     rng = random.Random(23)
-    n = 50
+    n = 8 * LEAF_SIZE
     xs = AbsDiffMetric("x", [rng.uniform(0, 10) for _ in range(n)])
     t, _ = product_tree([xs], n)
     coords, radii = (5.0,), (2.0,)
     exact = exact_product_range([xs], coords, radii, range(n))
     q = ProductQuery(coords=coords, radii=radii, epsilon=0.3)
-    got, _ = product_range_query(t, q, coverage_check=exact)
-    assert exact <= got
+    for leaf_size in (1, LEAF_SIZE):
+        got, _ = helpers.probed_product_search(t, q, exact, leaf_size)
+        assert exact <= got
 
 
 def test_query_validation():
@@ -235,11 +236,14 @@ def test_cover_works_on_product_metric_as_single_factor():
 # ---------------------------------------------------------------------------
 
 
-def assert_matches_reference(t, factors, coords, radii, eps):
-    """Same reported nodes and every stats field as the reference loop."""
-    want_nodes, want_stats = helpers.reference_heap_search(t, factors, coords, radii, eps)
-    (nodes,), stats = _frontier_search([t], factors, coords, radii, eps)
+def assert_matches_reference(t, factors, coords, radii, eps, leaf_size=1):
+    """Same reported nodes, scanned points and stats as the reference loop."""
+    want_nodes, want_hits, want_stats = helpers.reference_heap_search(
+        t, factors, coords, radii, eps, leaf_size=leaf_size
+    )
+    (nodes,), hits, stats = _frontier_search([t], factors, coords, radii, eps, leaf_size=leaf_size)
     assert sorted(nodes) == sorted(want_nodes)
+    assert set(hits.tolist()) == want_hits and len(hits) == len(want_hits)
     assert (stats.width, stats.height, stats.splits, stats.dist_evals, stats.output_size) == want_stats
     return want_nodes, want_stats
 
@@ -260,9 +264,8 @@ def test_rounds_match_reference_loop(m, eps, grid):
     for _ in range(25):
         coords = (coord(), [coord(), coord()])[:m]
         radii = tuple(rng.uniform(0.5, 6.0) for _ in range(m))
-        want_nodes, _ = assert_matches_reference(t, factors, coords, radii, eps)
-        got, _ = product_range_query(t, ProductQuery(coords=coords, radii=radii, epsilon=eps))
-        assert got == helpers.reference_points(t, want_nodes)
+        assert_matches_reference(t, factors, coords, radii, eps)
+        check_sandwich(factors, t, coords, radii, eps)
 
 
 def test_rounds_match_reference_with_radius_inversion():
@@ -297,8 +300,10 @@ def test_coverage_probe_catches_a_pruned_point():
     far = max(range(n), key=lambda p: abs(values[p] - 5.0))
     assert abs(values[far] - 5.0) > 1.3 * 2.0  # outside the expanded radius
     q = ProductQuery(coords=(5.0,), radii=(2.0,), epsilon=0.3)
+    # At n < LEAF_SIZE the root would be a bucket and hide the planted
+    # point, so the probe runs without buckets.
     with pytest.raises(AssertionError, match=r"\[%d\]" % far):
-        product_range_query(t, q, coverage_check=[far])
+        helpers.probed_product_search(t, q, [far], leaf_size=1)
 
 
 def test_coverage_probe_raises_under_optimize_flag():
@@ -306,9 +311,10 @@ def test_coverage_probe_raises_under_optimize_flag():
     code = textwrap.dedent(
         """
         import random
+        import helpers
         from greedyrange import (
             AbsDiffMetric, ProductMetric, ProductQuery, build_greedy_tree,
-            greedy_permutation, product_range_query,
+            greedy_permutation,
         )
 
         rng = random.Random(23)
@@ -319,13 +325,71 @@ def test_coverage_probe_raises_under_optimize_flag():
         far = max(range(n), key=lambda p: abs(values[p] - 5.0))
         q = ProductQuery(coords=(5.0,), radii=(2.0,), epsilon=0.3)
         try:
-            product_range_query(t, q, coverage_check=[far])
+            helpers.probed_product_search(t, q, [far], leaf_size=1)
         except AssertionError as exc:
             raise SystemExit(3 if str([far]) in str(exc) else 4)
         """
     )
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(greedyrange.__file__)))
+    src = os.path.dirname(os.path.dirname(greedyrange.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.path.dirname(helpers.__file__)]))
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 3, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# Buckets against the oracle.  The trees hold several times LEAF_SIZE
+# points, so nodes split before they bucket.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.5, 4.0])
+def test_buckets_match_oracle_with_radius_inversions(eps, monkeypatch):
+    rng = random.Random(61 + int(eps * 10))
+    n = 6 * LEAF_SIZE
+    vecs = [[rng.uniform(0, 10), rng.uniform(0, 10)] for _ in range(n)]
+    values = [rng.gauss(0, 3) for _ in range(n)]
+    factors = [MinkowskiMetric("v", vecs, p=2), AbsDiffMetric("x", values)]
+    t, _ = product_tree(factors, n)
+    assert any(r >= 0 and t.radius[r] > t.radius[v] for v, r in enumerate(t.right))
+    log = helpers.bucket_log(monkeypatch, greedyrange.search)
+    for _ in range(20):
+        pid = rng.randrange(n)
+        coords = (vecs[pid], values[pid])
+        radii = (rng.uniform(0.5, 3.0), rng.uniform(0.3, 2.0))
+        before = [f.evals for f in factors]
+        got, stats = product_range_query(t, ProductQuery(coords=coords, radii=radii, epsilon=eps))
+        assert stats.dist_evals == tuple(f.evals - b for f, b in zip(factors, before))
+        exact = exact_product_range(factors, coords, radii, range(n))
+        outer = exact_product_range(factors, coords, [(1 + eps) * r for r in radii], range(n))
+        assert sandwich_check(got, exact, outer).passed
+        assert stats.output_size == len(got)
+        if eps == 0.0:
+            assert got == exact
+        assert_matches_reference(t, factors, coords, radii, eps, leaf_size=LEAF_SIZE)
+    assert any(buckets and splits for _, buckets, splits, _ in log)
+
+
+@pytest.mark.parametrize("eps", [0.5, 4.0])
+def test_bucket_scan_tests_at_r(eps):
+    # With a bound of n the root is a bucket unless it is pruned or
+    # reported whole, and then the scan alone gives the exact answer,
+    # whatever eps allows.
+    rng = random.Random(71)
+    n = 200
+    values = [rng.uniform(0, 10) for _ in range(n)]
+    vecs = [[rng.uniform(0, 10), rng.uniform(0, 10)] for _ in range(n)]
+    factors = [AbsDiffMetric("x", values), MinkowskiMetric("v", vecs, p=2)]
+    t, _ = product_tree(factors, n)
+    scanned = 0
+    for _ in range(20):
+        coords = (rng.uniform(0, 10), [rng.uniform(0, 10), rng.uniform(0, 10)])
+        radii = (rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0))
+        (nodes,), hits, stats = _frontier_search([t], factors, coords, radii, eps, leaf_size=n)
+        if nodes or not stats.width:
+            continue  # the root was reported whole or pruned
+        scanned += 1
+        assert stats.splits == 0 and stats.width == 1
+        assert set(hits.tolist()) == exact_product_range(factors, coords, radii, range(n))
+    assert scanned
