@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Sequence
 
+import numpy as np
+
 from . import search
 from .errors import InputError
 from .metrics import MetricSpace
@@ -44,10 +46,6 @@ __all__ = [
     "grt_to_obj",
     "grt_from_obj",
 ]
-
-GRT_FORMAT = "greedy-range-tree"
-GRT_VERSION = 1
-
 
 @dataclass
 class GreedyRangeTree:
@@ -174,38 +172,42 @@ def aux_leaf_totals(struct: GreedyRangeTree | GreedyTree) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: the primary tree's preorder object, each node embedding
-# its auxiliary structure under "aux".
+# Serialization: one forest per cascade level.  Level 0 is the top tree;
+# level k + 1 holds the auxiliary primaries of every level-k node, tree
+# after tree in level-k node order, so the aux of node j holds exactly
+# node j's count points.
 # ---------------------------------------------------------------------------
 
 
-def grt_to_obj(struct: GreedyRangeTree | GreedyTree) -> dict[str, Any]:
-    if isinstance(struct, GreedyTree):
-        return tree_to_obj(struct)
-    return {
-        "format": GRT_FORMAT,
-        "version": GRT_VERSION,
-        "primary": tree_to_obj(struct.primary, node_extra=[grt_to_obj(sub) for sub in struct.aux]),
-    }
+def grt_to_obj(struct: GreedyRangeTree | GreedyTree) -> list[dict[str, np.ndarray]]:
+    levels = []
+    level = [struct]
+    while level:
+        levels.append(tree_to_obj([s.primary if isinstance(s, GreedyRangeTree) else s for s in level]))
+        level = [sub for s in level if isinstance(s, GreedyRangeTree) for sub in s.aux]
+    return levels
 
 
-def grt_from_obj(obj: dict[str, Any], factors: Sequence[MetricSpace]) -> GreedyRangeTree | GreedyTree:
+def grt_from_obj(
+    levels: Sequence[dict[str, np.ndarray]], factors: Sequence[MetricSpace], n: int
+) -> GreedyRangeTree | GreedyTree:
     factors = list(factors)
     if not factors:
         raise InputError("at least one factor is required")
-    if isinstance(obj, dict) and obj.get("format") == GRT_FORMAT:
-        if obj.get("version") != GRT_VERSION:
-            raise InputError(f"unsupported {GRT_FORMAT} version {obj.get('version')!r}")
-        if len(factors) < 2:
-            raise InputError("a cascade object needs at least two factors")
-        primary, records = tree_from_obj(obj.get("primary"), factors[0])
-        aux = []
-        for rec in records:
-            if "aux" not in rec:
-                raise InputError("cascade node is missing its auxiliary structure")
-            aux.append(grt_from_obj(rec["aux"], factors[1:]))
-        return GreedyRangeTree(primary=primary, aux=aux, factors=factors)
-    if len(factors) != 1:
-        raise InputError(f"expected a {GRT_FORMAT} object for {len(factors)} factors")
-    tree, _ = tree_from_obj(obj, factors[0])
-    return tree
+    if len(levels) != len(factors):
+        raise InputError(f"{len(levels)} cascade levels for {len(factors)} factors")
+    forests, sizes = [], [n]
+    for k, (level, factor) in enumerate(zip(levels, factors)):
+        try:
+            forests.append(tree_from_obj(level, factor, sizes))
+        except InputError as exc:
+            raise InputError(f"cascade level {k}: {exc}") from exc
+        sizes = level["count"]
+    structs: list[Any] = forests[-1]
+    for k in range(len(forests) - 2, -1, -1):
+        upper, pos = [], 0
+        for t in forests[k]:
+            upper.append(GreedyRangeTree(primary=t, aux=structs[pos : pos + len(t.center)], factors=factors[k:]))
+            pos += len(t.center)
+        structs = upper
+    return structs[0]

@@ -1,7 +1,8 @@
 """Command-line harness: build, query, verify, bench, stats.
 
 Exit codes: 0 on success, 1 when verification finds a violation, 2 on
-bad input (malformed files, unknown kinds, invalid parameters).
+bad input (malformed files, unknown kinds, invalid parameters), 141 when
+the reader of standard output closed the pipe.
 
 Reports that contain wall-clock fields are for humans; the machine-read
 outputs (index files, result rows, CSV columns other than wall time) are
@@ -12,12 +13,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
 from typing import Any, Sequence
+
+import numpy as np
 
 from .cascade import GreedyRangeTree, aux_leaf_totals, build_grt, grt_from_obj, grt_query, grt_to_obj
 from .dataset import (
@@ -37,15 +42,11 @@ from .errors import ConfigurationError, InputError
 from .metrics import dataset_summary
 from .oracle import exact_product_range, sandwich_check
 from .search import ProductQuery, SearchStats, product_range_query
-from .tree import GreedyTree, build_greedy_tree, greedy_permutation, tree_from_obj, tree_to_obj
+from .tree import FOREST_DTYPES, GreedyTree, build_greedy_tree, greedy_permutation, tree_from_obj, tree_to_obj
 
 INDEX_FORMAT = "greedyrange-index"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 STRUCTURES = ("product-tree", "grt")
-
-
-def _dump(obj: Any) -> str:
-    return json.dumps(obj, separators=(",", ":"))
 
 
 def _print_report(obj: Any) -> None:
@@ -55,14 +56,6 @@ def _print_report(obj: Any) -> None:
 # ---------------------------------------------------------------------------
 # Index files.
 # ---------------------------------------------------------------------------
-
-
-def _coords_obj(dataset: Dataset) -> dict[str, Any]:
-    out: dict[str, Any] = {}
-    for spec in dataset.specs:
-        col = dataset.coords[spec.name]
-        out[spec.name] = col if isinstance(col, list) else col.tolist()
-    return out
 
 
 def build_structure(dataset: Dataset, structure: str, *, seed: int | str = "first"):
@@ -75,53 +68,130 @@ def build_structure(dataset: Dataset, structure: str, *, seed: int | str = "firs
     raise InputError(f"unknown structure {structure!r}; expected one of {STRUCTURES}")
 
 
+def _header_line(header: dict[str, Any]) -> bytes:
+    return (json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n").encode("ascii")
+
+
+def _digest(header: dict[str, Any], payload: bytes) -> str:
+    """SHA-256 of the header line without its ``sha256`` field, then the payload."""
+    h = hashlib.sha256(_header_line({k: v for k, v in header.items() if k != "sha256"}))
+    h.update(payload)
+    return h.hexdigest()
+
+
 def save_index(path: str | Path, dataset: Dataset, structure: str, struct: Any) -> None:
-    if structure == "product-tree":
-        tree_obj = tree_to_obj(struct)
-    else:
-        tree_obj = grt_to_obj(struct)
-    obj = {
+    """Write index format 2: one sorted-key JSON header line, then the payload.
+
+    The payload holds the columns of the header's table, raw and
+    little-endian, each at its byte offset: the numeric coordinates, then
+    one forest per cascade level (a product tree is one level).  String
+    coordinates stay in the header.
+    """
+    columns: dict[str, np.ndarray] = {}
+    strings: dict[str, list[str]] = {}
+    for spec in dataset.specs:
+        col = dataset.coords[spec.name]
+        if isinstance(col, list):
+            strings[spec.name] = col
+        else:
+            columns[f"coords/{spec.name}"] = col.astype("<f8")
+    levels = [tree_to_obj([struct])] if structure == "product-tree" else grt_to_obj(struct)
+    for k, level in enumerate(levels):
+        columns.update((f"level{k}/{name}", col) for name, col in level.items())
+    table, offset = [], 0
+    for name, col in columns.items():
+        table.append({"name": name, "dtype": col.dtype.str, "shape": list(col.shape), "offset": offset})
+        offset += col.nbytes
+    payload = b"".join(col.tobytes() for col in columns.values())
+    header = {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
         "structure": structure,
         "factors": [spec.to_obj() for spec in dataset.specs],
         "n": dataset.n,
-        "coords": _coords_obj(dataset),
-        "tree": tree_obj,
+        "columns": table,
+        "strings": strings,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dump(obj))
+    header["sha256"] = _digest(header, payload)
+    with open(path, "wb") as fh:
+        fh.write(_header_line(header))
+        fh.write(payload)
+
+
+def _load(path: str | Path) -> tuple[str, Dataset, Any, dict[str, np.ndarray]]:
+    """Check, decode and validate an index; also returns its payload columns."""
+    line, _, payload = Path(path).read_bytes().partition(b"\n")
+    try:
+        header = json.loads(line)
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
+        raise InputError(f"{path}: index header is not JSON: {exc}") from exc
+    if not isinstance(header, dict) or header.get("format") != INDEX_FORMAT:
+        raise InputError(f"{path}: not a {INDEX_FORMAT} file")
+    if header.get("version") != INDEX_VERSION:
+        raise InputError(
+            f"{path}: index version {header.get('version')!r} is not version {INDEX_VERSION}; "
+            "rebuild the index with `greedyrange build`"
+        )
+    if header.get("sha256") != _digest(header, payload):
+        raise InputError(f"{path}: checksum mismatch: the index is corrupt or truncated")
+    structure = header.get("structure")
+    if structure not in STRUCTURES:
+        raise InputError(f"{path}: unknown structure {structure!r}")
+    factors, table, strings = header.get("factors"), header.get("columns"), header.get("strings")
+    if not isinstance(factors, list) or not all(isinstance(e, dict) and {"name", "kind"} <= e.keys() for e in factors):
+        raise InputError(f"{path}: 'factors' must list objects with 'name' and 'kind'")
+    if not isinstance(table, list) or not all(isinstance(e, dict) for e in table) or not isinstance(strings, dict):
+        raise InputError(f"{path}: 'columns' must list column entries and 'strings' map factors to strings")
+    entries = {e.get("name"): e for e in table}
+    columns: dict[str, np.ndarray] = {}
+
+    def column(name: str, dtype: str) -> np.ndarray:
+        e = entries.get(name, {})
+        if e.get("dtype") != dtype:
+            raise InputError(f"{path}: column {name!r} is missing or not {dtype}")
+        try:
+            columns[name] = np.frombuffer(payload, dtype, math.prod(e["shape"]), e["offset"]).reshape(e["shape"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"{path}: column {name!r} does not fit the payload: {exc}") from exc
+        return columns[name]
+
+    try:
+        specs = [FactorSpec(name=e["name"], kind=e["kind"], dim=e.get("dim")) for e in factors]
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{path}: malformed factors: {exc}") from exc
+    n = header.get("n")
+    coords: dict[str, Any] = {}
+    for spec in specs:
+        if spec.kind == "levenshtein":
+            coords[spec.name] = strings.get(spec.name)
+            continue
+        col = coords[spec.name] = column(f"coords/{spec.name}", "<f8")
+        if col.shape != ((n,) if spec.kind == "abs1d" else (n, spec.dim)):
+            raise InputError(f"{path}: coordinate column {spec.name!r} has shape {col.shape}, not n={n!r} rows")
+    try:
+        dataset = Dataset(specs, coords)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{path}: malformed coordinate columns: {exc}") from exc
+    if dataset.n != n:
+        raise InputError(f"{path}: coordinate columns disagree with n={n!r}")
+    levels = [
+        {name: column(f"level{k}/{name}", dtype) for name, dtype in FOREST_DTYPES.items()}
+        for k in range(1 if structure == "product-tree" else dataset.m)
+    ]
+    if set(entries) != set(columns):
+        raise InputError(f"{path}: unexpected columns {sorted(map(str, set(entries) - set(columns)))}")
+    try:
+        if structure == "product-tree":
+            struct = tree_from_obj(levels[0], dataset.product(), [dataset.n])[0]
+        else:
+            struct = grt_from_obj(levels, dataset.spaces(), dataset.n)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+    return structure, dataset, struct, columns
 
 
 def load_index(path: str | Path) -> tuple[str, Dataset, Any]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON: {exc.msg}") from exc
-    if not isinstance(obj, dict) or obj.get("format") != INDEX_FORMAT:
-        raise InputError(f"{path}: not a {INDEX_FORMAT} file")
-    if obj.get("version") != INDEX_VERSION:
-        raise InputError(f"{path}: unsupported index version {obj.get('version')!r}")
-    structure = obj.get("structure")
-    if structure not in STRUCTURES:
-        raise InputError(f"{path}: unknown structure {structure!r}")
-    factors, coords = obj.get("factors"), obj.get("coords")
-    if not isinstance(factors, list) or not all(isinstance(e, dict) and {"name", "kind"} <= e.keys() for e in factors):
-        raise InputError(f"{path}: 'factors' must list objects with 'name' and 'kind'")
-    if not isinstance(coords, dict):
-        raise InputError(f"{path}: 'coords' must map factor names to columns")
-    try:
-        specs = [FactorSpec(name=e["name"], kind=e["kind"], dim=e.get("dim")) for e in factors]
-        dataset = Dataset(specs, coords)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{path}: malformed factors or coordinate columns: {exc}") from exc
-    if dataset.n != obj.get("n"):
-        raise InputError(f"{path}: coordinate columns disagree with n={obj.get('n')}")
-    if structure == "product-tree":
-        struct, _ = tree_from_obj(obj.get("tree"), dataset.product())
-    else:
-        struct = grt_from_obj(obj.get("tree"), dataset.spaces())
+    structure, dataset, struct, _ = _load(path)
     return structure, dataset, struct
 
 
@@ -348,7 +418,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     """Size report for an index, plus its dataset's exact spreads from the
     O(n^2) all-pairs scan of ``dataset_summary`` (null where a distance is
     zero, and at n = 1, which has no pairs)."""
-    structure, dataset, struct = load_index(args.index)
+    structure, dataset, struct, columns = _load(args.index)
     spread: dict[str, Any] = {spec.name: None for spec in dataset.specs}
     product_spread = None
     duplicates = False
@@ -359,6 +429,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
             duplicates = duplicates or st.has_duplicates
         product_spread = None if summary.product.has_duplicates else summary.product.spread
     primary = struct if isinstance(struct, GreedyTree) else struct.primary
+    levels = 1 if structure == "product-tree" else dataset.m
     histogram = _depth_histogram(primary)
     rad, right = primary.radius, primary.right
     report: dict[str, Any] = {
@@ -370,6 +441,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
         "nodes_per_depth": histogram,
         "radius_inversions": sum(1 for i, r in enumerate(right) if r >= 0 and rad[r] > rad[i]),
         "index_bytes": Path(args.index).stat().st_size,
+        "level_nodes": [len(columns[f"level{k}/count"]) for k in range(levels)],
+        "level_bytes": [sum(columns[f"level{k}/{name}"].nbytes for name in FOREST_DTYPES) for k in range(levels)],
         "spread": spread,
         "product_spread": product_spread,
         "has_duplicates": duplicates,
@@ -479,7 +552,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away (``greedyrange stats ... | head``).  Point
+        # stdout at devnull so that the flush at exit cannot raise again,
+        # and exit as a process killed by SIGPIPE does.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (InputError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

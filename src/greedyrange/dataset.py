@@ -122,6 +122,8 @@ class Dataset:
                 col = np.asarray(col, dtype=np.float64).reshape(len(col), spec.dim)
             else:
                 col = list(col)
+            if isinstance(col, np.ndarray) and not np.isfinite(col).all():
+                raise InputError(f"factor {spec.name!r} has non-finite coordinates")
             sizes.add(len(col))
             self.coords[spec.name] = col
         if len(sizes) != 1:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -356,96 +356,82 @@ def verify_greedy_tree(t: GreedyTree, metric: Metric | None = None) -> Verificat
 
 
 # ---------------------------------------------------------------------------
-# Serialization: versioned preorder JSON objects.
+# Serialization: a forest of trees as little-endian preorder columns.
 # ---------------------------------------------------------------------------
 
-TREE_FORMAT = "greedy-tree"
-TREE_VERSION = 1
+# The stored columns of a forest; ``right``, ``first`` and ``leaves`` are
+# derived from them.  Radii come first, so that in a file of such columns
+# every float column starts 8-byte aligned.
+FOREST_DTYPES = {"radius": "<f8", "count": "<i4", "center": "<i4"}
 
 
-def tree_to_obj(t: GreedyTree, node_extra: Sequence[Any] | None = None) -> dict[str, Any]:
-    """Encode as a preorder node array with explicit child links.
+def tree_to_obj(trees: Sequence[GreedyTree]) -> dict[str, np.ndarray]:
+    """Encode a forest: the trees' preorder columns laid end to end."""
+    return {
+        name: np.array([x for t in trees for x in getattr(t, name)], dtype=dtype)
+        for name, dtype in FOREST_DTYPES.items()
+    }
 
-    Radii survive bit-exactly because JSON floats use the shortest
-    round-tripping decimal form.  ``node_extra`` attaches an extra field
-    (used for cascaded auxiliary structures), one entry per node.
+
+def tree_from_obj(obj: dict[str, np.ndarray], metric: Metric, sizes: Sequence[int]) -> list[GreedyTree]:
+    """Decode and validate a forest of trees over ``sizes[j]`` points each.
+
+    Every check is one array expression over the whole forest: node
+    counts add up (a node's right child is ``i + 2*count[i+1]``) and
+    every subtree stays inside its tree, each root counts its tree's
+    points, left children keep their parent's center, centers are point
+    ids of ``metric``, radii are finite, nonnegative and zero at leaves,
+    and no id is in two leaves of one tree.  Together these make each
+    tree's nodes one preorder binary tree.  Radii are not recomputed.
     """
-    nodes: list[dict[str, Any]] = []
-    for i, (c, rad, r) in enumerate(zip(t.center, t.radius, t.right)):
-        rec: dict[str, Any] = {"center": c, "radius": rad}
-        if node_extra is not None:
-            rec["aux"] = node_extra[i]
-        if r >= 0:
-            rec["left"] = i + 1
-            rec["right"] = r
-        nodes.append(rec)
-    return {"format": TREE_FORMAT, "version": TREE_VERSION, "n": t.n, "nodes": nodes}
+    if not isinstance(obj, dict) or set(obj) != set(FOREST_DTYPES):
+        raise InputError(f"a serialized forest has exactly the columns {sorted(FOREST_DTYPES)}")
+    for name, dtype in FOREST_DTYPES.items():
+        col = obj[name]
+        if not isinstance(col, np.ndarray) or col.dtype != np.dtype(dtype) or col.ndim != 1:
+            raise InputError(f"forest column {name!r} is not a one-dimensional {dtype} array")
+    count, center, radius = obj["count"].astype(np.int64), obj["center"], obj["radius"]
+    sizes = np.asarray(sizes, dtype=np.int64)
+    total = len(count)
+    spans = 2 * sizes - 1
+    if (sizes < 1).any() or len(center) != total or len(radius) != total or spans.sum() != total:
+        raise InputError(f"forest columns of {total} nodes do not hold trees of {sizes.sum()} points")
 
+    starts = np.cumsum(spans) - spans
+    tree_of = np.repeat(np.arange(len(sizes)), spans)
+    i = np.arange(total)
+    if (count < 1).any() or (i + 2 * count - 1 > (starts + spans)[tree_of]).any():
+        raise InputError("a node's subtree runs past the end of its tree")
+    if (count[starts] != sizes).any():
+        raise InputError("a root's count disagrees with its tree's point count")
+    inner = np.flatnonzero(count > 1)
+    right = inner + 2 * count[inner + 1]
+    # A right child past its tree cannot satisfy the sum within the span
+    # checked above, so clamping it only keeps the gather in bounds.
+    if (count[inner] != count[inner + 1] + count[np.minimum(right, total - 1)]).any():
+        raise InputError("a node's count is not the sum of its children's")
+    if ((center < 0) | (center >= len(metric))).any():
+        raise InputError(f"a center is not a point id in [0, {len(metric)})")
+    if (center[inner + 1] != center[inner]).any():
+        raise InputError("a node and its left child have different centers")
+    if not ((radius >= 0.0) & (radius < math.inf)).all():
+        raise InputError("a radius is not finite and nonnegative")
+    leaf = count == 1
+    if (radius[leaf] != 0.0).any():
+        raise InputError("a leaf has a nonzero radius")
+    leaves = center[leaf].astype(np.intp)
+    keys = np.sort(tree_of[leaf] * len(metric) + leaves)
+    if (keys[1:] == keys[:-1]).any():
+        raise InputError("a tree has a point id in more than one leaf")
 
-def tree_from_obj(obj: dict[str, Any], metric: Metric) -> tuple[GreedyTree, list[dict[str, Any]]]:
-    """Decode and validate a tree object; also returns the raw node records.
-
-    The record list lets callers recover per-node extras ("aux") aligned
-    with the decoded nodes.  One reverse pass checks that the links form
-    the preorder layout, that left children keep their parent's center,
-    that centers are point ids of ``metric``, that no id is in two leaves
-    and that radii are finite, nonnegative and zero at leaves.  It does not
-    recompute radii.
-    """
-    if not isinstance(obj, dict) or obj.get("format") != TREE_FORMAT:
-        raise InputError(f"not a {TREE_FORMAT} object")
-    if obj.get("version") != TREE_VERSION:
-        raise InputError(f"unsupported {TREE_FORMAT} version {obj.get('version')!r}")
-    records = obj.get("nodes")
-    n = obj.get("n")
-    if not isinstance(records, list) or not records:
-        raise InputError("serialized tree has no nodes")
-    if type(n) is not int or len(records) != 2 * n - 1:
-        raise InputError(f"serialized tree claims n={n!r} but has {len(records)} nodes")
-    total = len(records)
-    size = len(metric)
-    center = [0] * total
-    radius = [0.0] * total
-    count = [1] * total
-    right = [-1] * total
-    first = [0] * total
-    leaves: list[int] = []
-    for i in range(total - 1, -1, -1):
-        rec = records[i]
-        if type(rec) is not dict:
-            raise InputError(f"node {i} is not an object")
-        c = rec.get("center")
-        rad = rec.get("radius")
-        if type(c) is not int or not 0 <= c < size:
-            raise InputError(f"node {i} center {c!r} is not a point id in [0, {size})")
-        if type(rad) is not float:
-            if type(rad) is not int:
-                raise InputError(f"node {i} radius {rad!r} is not a number")
-            rad = float(rad)
-        if not 0.0 <= rad < math.inf:
-            raise InputError(f"node {i} radius {rad!r} is not finite and nonnegative")
-        center[i] = c
-        radius[i] = rad
-        if "left" not in rec and "right" not in rec:
-            if rad != 0.0:
-                raise InputError(f"leaf node {i} has radius {rad} != 0")
-            leaves.append(c)
-            first[i] = n - len(leaves)
-            continue
-        r = rec.get("right")
-        if rec.get("left") != i + 1 or type(r) is not int or not i + 1 < r < total:
-            raise InputError(f"node {i} has child links outside the preorder layout")
-        if r != i + 2 * count[i + 1]:
-            raise InputError(f"node {i} right link {r} disagrees with the left subtree's count")
-        if center[i + 1] != c:
-            raise InputError(f"node {i} and its left child have different centers")
-        right[i] = r
-        count[i] = count[i + 1] + count[r]
-        first[i] = first[i + 1]
-    if count[0] != n:
-        raise InputError(f"serialized tree claims n={n} but has {count[0]} leaves")
-    if len(set(leaves)) != n:
-        raise InputError("serialized tree has a point id in more than one leaf")
-    leaves.reverse()
-    tree = GreedyTree(metric, center, radius, count, right, first, np.asarray(leaves, dtype=np.intp))
-    return tree, records
+    rights = np.full(total, -1, dtype=np.int64)
+    rights[inner] = right - starts[tree_of[inner]]
+    firsts = np.cumsum(leaf) - leaf
+    firsts -= firsts[starts][tree_of]
+    c, r, n, rt, fs = (col.tolist() for col in (center, radius, count, rights, firsts))
+    leaf_starts = np.cumsum(sizes) - sizes
+    return [
+        GreedyTree(metric, c[s:e], r[s:e], n[s:e], rt[s:e], fs[s:e], leaves[f:g])
+        for s, e, f, g in zip(starts.tolist(), (starts + spans).tolist(), leaf_starts.tolist(),
+                              (leaf_starts + sizes).tolist())
+    ]

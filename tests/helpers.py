@@ -238,6 +238,11 @@ def reference_heap_search(t, factors, coords, radii, epsilon, leaf_size=1, scan=
     return out, hits, (width, height, splits, tuple(evals), output_size)
 
 
+def tree_columns(t) -> tuple:
+    """Every column of a tree as plain lists, for equality checks."""
+    return (t.center, t.radius, t.count, t.right, t.first, t.leaves.tolist())
+
+
 def reference_points(t, nodes) -> set[int]:
     points: set[int] = set()
     for v in nodes:

@@ -3,6 +3,7 @@
 import functools
 import random
 
+import numpy as np
 import pytest
 
 import helpers
@@ -23,7 +24,6 @@ from greedyrange import (
     product_range_query,
     sandwich_check,
     synth_dataset,
-    tree_to_obj,
     verify_greedy_tree,
 )
 from greedyrange import cascade, search
@@ -44,7 +44,7 @@ def test_single_factor_is_a_plain_tree():
     grt = build_grt(list(range(30)), [space])
     assert isinstance(grt, GreedyTree)
     plain = build_greedy_tree(greedy_permutation(list(range(30)), space), space)
-    assert tree_to_obj(grt) == tree_to_obj(plain)
+    assert helpers.tree_columns(grt) == helpers.tree_columns(plain)
 
 
 def walk_structures(struct):
@@ -162,17 +162,27 @@ def test_query_validation():
         build_grt([0], [])
 
 
+def _flatten(struct):
+    """Every tree of a cascade, level by level, as plain columns."""
+    if isinstance(struct, GreedyTree):
+        return helpers.tree_columns(struct)
+    return (helpers.tree_columns(struct.primary), [_flatten(sub) for sub in struct.aux], struct.factors)
+
+
 @pytest.mark.parametrize("m,n", [(2, 30), (3, 14)])
 def test_serialization_roundtrip(m, n):
-    import json
-
     ds = small_dataset(m, n, seed=n)
     spaces = ds.spaces()
     grt = build_grt(list(range(n)), spaces)
-    obj = json.loads(json.dumps(grt_to_obj(grt)))
-    back = grt_from_obj(obj, spaces)
-    assert grt_to_obj(back) == grt_to_obj(grt)
+    levels = grt_to_obj(grt)
+    assert len(levels) == m
+    # the aux of level-k node j holds exactly that node's points
+    for upper, lower in zip(levels, levels[1:]):
+        assert (2 * upper["count"] - 1).sum() == len(lower["count"])
+    raw = [{k: np.frombuffer(v.tobytes(), dtype=v.dtype) for k, v in level.items()} for level in levels]
+    back = grt_from_obj(raw, spaces, n)
     assert isinstance(back, GreedyRangeTree)
+    assert _flatten(back) == _flatten(grt)
     # the revived cascade answers queries identically
     rng = random.Random(0)
     coords = ds.payloads(0)
@@ -181,21 +191,37 @@ def test_serialization_roundtrip(m, n):
     assert grt_query(back, q)[0] == grt_query(grt, q)[0]
 
 
+def _truncate_level(levels, k, nodes):
+    levels[k] = {name: col[:-nodes] for name, col in levels[k].items()}
+
+
 def test_from_obj_validation():
     ds = small_dataset(2, 8, seed=2)
     spaces = ds.spaces()
     grt = build_grt(list(range(8)), spaces)
-    obj = grt_to_obj(grt)
+    assert _flatten(grt_from_obj(grt_to_obj(grt), spaces, 8)) == _flatten(grt)
     with pytest.raises(InputError):
-        grt_from_obj(obj, spaces[:1])  # cascade object, single factor
+        grt_from_obj(grt_to_obj(grt), spaces[:1], 8)  # two levels, one factor
     with pytest.raises(InputError):
-        grt_from_obj({**obj, "version": 9}, spaces)
+        grt_from_obj(grt_to_obj(grt), [], 8)
     with pytest.raises(InputError):
-        grt_from_obj(tree_to_obj(grt.primary), spaces)  # plain tree, two factors
-    bad = grt_to_obj(grt)
-    bad["primary"]["nodes"][0].pop("aux")
+        grt_from_obj(grt_to_obj(grt), spaces, 9)  # the top tree holds 8 points
     with pytest.raises(InputError):
-        grt_from_obj(bad, spaces)
+        grt_from_obj(grt_to_obj(grt.primary), spaces, 8)  # plain tree, two factors
+    levels = grt_to_obj(grt)
+    levels[1].pop("radius")
+    with pytest.raises(InputError):
+        grt_from_obj(levels, spaces, 8)
+    # the last primary node is missing its auxiliary (a one-point tree)
+    levels = grt_to_obj(grt)
+    _truncate_level(levels, 1, 1)
+    with pytest.raises(InputError):
+        grt_from_obj(levels, spaces, 8)
+    # an aux holding one point more than its node: one more node in level 1
+    levels = grt_to_obj(grt)
+    levels[1] = {name: np.concatenate([col, col[-1:]]) for name, col in levels[1].items()}
+    with pytest.raises(InputError):
+        grt_from_obj(levels, spaces, 8)
 
 
 @pytest.mark.parametrize("m,n", [(2, 60), (3, 24)])

@@ -1,14 +1,50 @@
 """End-to-end harness runs: exit codes, file formats, determinism."""
 
+import contextlib
 import csv
+import hashlib
+import io
 import json
+import math
+import os
+import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greedyrange import cli
 from greedyrange.cli import load_index, main
 from greedyrange.metrics import dataset_summary
 from greedyrange.tree import verify_greedy_tree
+
+
+def read_index(path):
+    """(header, {name: writable column}) of a format-2 index, read by the
+    documented layout: a JSON header line, then raw columns at offsets."""
+    line, _, payload = path.read_bytes().partition(b"\n")
+    header = json.loads(line)
+    cols = {}
+    for e in header["columns"]:
+        col = np.frombuffer(payload, e["dtype"], math.prod(e["shape"]), e["offset"])
+        cols[e["name"]] = col.reshape(e["shape"]).copy()
+    return header, cols
+
+
+def write_index(path, header, cols):
+    """Write an index with a fresh column table and checksum, so that only
+    the loader's own checks stand between an edit and the answers."""
+    table, offset = [], 0
+    for name, col in cols.items():
+        table.append({"name": name, "dtype": col.dtype.str, "shape": list(col.shape), "offset": offset})
+        offset += col.nbytes
+    payload = b"".join(col.tobytes() for col in cols.values())
+    header = {k: v for k, v in header.items() if k != "sha256"}
+    header["columns"] = table
+    line = json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+    header["sha256"] = hashlib.sha256(line + payload).hexdigest()
+    path.write_bytes(json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n" + payload)
 
 
 def run(capsys, *argv):
@@ -85,6 +121,15 @@ def test_build_query_verify_pipeline(workspace, capsys, structure):
     assert report["index_bytes"] == idx.stat().st_size
     if structure == "grt":
         assert report["aux_leaf_totals"]["0"] == 80
+    # per-level nodes and bytes, read from the column table
+    _, cols = read_index(idx)
+    levels = 1 if structure == "product-tree" else 2
+    assert report["level_nodes"] == [len(cols[f"level{k}/count"]) for k in range(levels)]
+    assert report["level_nodes"][0] == 2 * 80 - 1
+    if structure == "grt":
+        assert report["level_nodes"][1] == sum(2 * c - 1 for c in primary.count)
+    # radius <f8, count and center <i4
+    assert report["level_bytes"] == [16 * nodes for nodes in report["level_nodes"]]
     summary = dataset_summary(dataset.product(), dataset.ids())
     assert not any(st.has_duplicates for st in summary.per_factor.values())
     assert report["has_duplicates"] is False
@@ -212,7 +257,7 @@ def test_single_factor_structures_serialize_identically(tmp_path, capsys):
         "--factors-out", str(tmp_path / "f.json"),
     )
     assert code == 0
-    trees = {}
+    files = {}
     for structure in ("product-tree", "grt"):
         idx = tmp_path / f"{structure}.idx"
         code, _, _ = run(
@@ -223,85 +268,189 @@ def test_single_factor_structures_serialize_identically(tmp_path, capsys):
             "--out", str(idx),
         )
         assert code == 0
-        trees[structure] = json.loads(idx.read_text())["tree"]
+        header, _ = read_index(idx)
+        files[structure] = header, idx.read_bytes().partition(b"\n")[2]
     # with one factor the cascade *is* the plain tree, byte for byte
-    assert trees["product-tree"] == trees["grt"]
+    (ptree, ptree_payload), (grt, grt_payload) = files["product-tree"], files["grt"]
+    assert ptree_payload == grt_payload
+    assert ptree["columns"] == grt["columns"]
 
 
-def test_index_roundtrip_and_corruption(workspace, capsys, tmp_path):
+def _build_grt(workspace, capsys):
     idx = workspace / "i.idx"
     run(capsys, "build", "--dataset", str(workspace / "d.jsonl"),
         "--factors", str(workspace / "f.json"), "--structure", "grt", "--out", str(idx))
+    return idx
+
+
+def _query_exit(capsys, workspace, idx, res):
+    code, _, err = run(capsys, "query", "--index", str(idx),
+                       "--workload", str(workspace / "w.jsonl"), "--out", str(res))
+    return code, err
+
+
+def test_index_roundtrip_and_corruption(workspace, capsys, tmp_path):
+    idx = _build_grt(workspace, capsys)
     structure, ds, struct = load_index(idx)
     assert structure == "grt" and ds.n == 80
+    # a re-sealed copy with the same columns loads to the same bytes
+    header, cols = read_index(idx)
+    same = tmp_path / "same.idx"
+    write_index(same, header, cols)
+    assert same.read_bytes() == idx.read_bytes()
 
-    obj = json.loads(idx.read_text())
-    obj["version"] = 3
-    bad = tmp_path / "v.idx"
-    bad.write_text(json.dumps(obj))
-    code, _, err = run(capsys, "query", "--index", str(bad),
-                       "--workload", str(workspace / "w.jsonl"),
-                       "--out", str(tmp_path / "r.jsonl"))
+    bad, res = tmp_path / "v.idx", tmp_path / "r.jsonl"
+    write_index(bad, {**header, "version": 3}, cols)
+    code, err = _query_exit(capsys, workspace, bad, res)
     assert code == 2 and "version" in err
 
-    obj = json.loads(idx.read_text())
-    obj["format"] = "pickle"
-    bad.write_text(json.dumps(obj))
-    code, _, _ = run(capsys, "query", "--index", str(bad),
-                     "--workload", str(workspace / "w.jsonl"),
-                     "--out", str(tmp_path / "r.jsonl"))
+    write_index(bad, {**header, "format": "pickle"}, cols)
+    code, _ = _query_exit(capsys, workspace, bad, res)
     assert code == 2
+    assert not res.exists()
 
 
-def _drop_factors(obj):
-    del obj["factors"]
+def test_version_1_index_asks_for_a_rebuild(workspace, capsys, tmp_path):
+    bad, res = tmp_path / "v1.idx", tmp_path / "r.jsonl"
+    bad.write_text(json.dumps({"format": "greedyrange-index", "version": 1, "structure": "grt", "tree": {}}))
+    code, err = _query_exit(capsys, workspace, bad, res)
+    assert code == 2 and "version 1" in err and "rebuild the index" in err
+    assert not res.exists()
 
 
-def _far_center(obj):
-    obj["tree"]["primary"]["nodes"][3]["center"] = 10**6
+@pytest.mark.parametrize("where", ["payload", "header", "checksum", "truncated"])
+def test_checksum_mismatch_exits_2(workspace, capsys, tmp_path, where):
+    raw = bytearray(_build_grt(workspace, capsys).read_bytes())
+    header_end = raw.index(b"\n")
+    if where == "payload":
+        raw[header_end + 100] ^= 0x01
+    elif where == "header":
+        # a factor kind l2 -> l1 is still a valid header, so only the
+        # checksum can tell
+        pos = raw.index(b'"kind":"l2"') + len('"kind":"l')
+        raw[pos] = ord("1")
+    elif where == "checksum":
+        pos = raw.index(b'"sha256":"') + len('"sha256":"')
+        raw[pos] = ord("0") if raw[pos] != ord("0") else ord("1")
+    else:
+        del raw[-8:]
+    bad, res = tmp_path / "bad.idx", tmp_path / "r.jsonl"
+    bad.write_bytes(raw)
+    code, err = _query_exit(capsys, workspace, bad, res)
+    assert code == 2 and "checksum mismatch" in err
+    assert not res.exists()
 
 
-def _nan_radius(obj):
-    obj["tree"]["primary"]["nodes"][0]["radius"] = float("nan")
+def _drop_factors(header, cols):
+    del header["factors"]
 
 
-def _nan_aux_radius(obj):
-    obj["tree"]["primary"]["nodes"][1]["aux"]["nodes"][0]["radius"] = float("nan")
+def _far_center(header, cols):
+    cols["level0/center"][3] = 10**6
 
 
-def _coords_not_columns(obj):
-    obj["coords"] = {name: 1.0 for name in obj["coords"]}
+def _nan_radius(header, cols):
+    cols["level0/radius"][0] = float("nan")
 
 
-def _tree_missing(obj):
-    del obj["tree"]
+def _nan_aux_radius(header, cols):
+    # the root of the auxiliary of primary node 1, the second tree of level 1
+    cols["level1/radius"][2 * cols["level0/count"][0] - 1] = float("nan")
 
 
-def _duplicate_leaf(obj):
+def _coords_not_columns(header, cols):
+    cols["coords/f0"] = np.float64(1.0).reshape(())
+
+
+def _tree_missing(header, cols):
+    for name in [name for name in cols if name.startswith("level")]:
+        del cols[name]
+
+
+def _unknown_column(header, cols):
+    cols["level2/radius"] = cols["level1/radius"]
+
+
+def _duplicate_leaf(header, cols):
     # a right-child leaf takes the root's point id, so its own point could
     # never be reported
-    nodes = obj["tree"]["primary"]["nodes"]
-    r = next(rec["right"] for rec in nodes if "right" in rec and "right" not in nodes[rec["right"]])
-    nodes[r]["center"] = nodes[0]["center"]
+    count, center = cols["level0/count"], cols["level0/center"]
+    r = next(i + 2 * count[i + 1] for i in range(len(count)) if count[i] > 1 and count[i + 2 * count[i + 1]] == 1)
+    center[r] = center[0]
 
 
 @pytest.mark.parametrize(
     "corrupt",
-    [_drop_factors, _far_center, _nan_radius, _nan_aux_radius, _coords_not_columns, _tree_missing, _duplicate_leaf],
+    [_drop_factors, _far_center, _nan_radius, _nan_aux_radius, _coords_not_columns, _tree_missing,
+     _unknown_column, _duplicate_leaf],
 )
 def test_corrupt_index_exits_2(workspace, capsys, tmp_path, corrupt):
-    idx = workspace / "i.idx"
-    run(capsys, "build", "--dataset", str(workspace / "d.jsonl"),
-        "--factors", str(workspace / "f.json"), "--structure", "grt", "--out", str(idx))
-    obj = json.loads(idx.read_text())
-    corrupt(obj)
-    bad = tmp_path / "bad.idx"
-    bad.write_text(json.dumps(obj))
-    res = tmp_path / "r.jsonl"
-    code, _, err = run(capsys, "query", "--index", str(bad),
-                       "--workload", str(workspace / "w.jsonl"), "--out", str(res))
+    header, cols = read_index(_build_grt(workspace, capsys))
+    corrupt(header, cols)
+    bad, res = tmp_path / "bad.idx", tmp_path / "r.jsonl"
+    write_index(bad, header, cols)
+    code, err = _query_exit(capsys, workspace, bad, res)
     assert code == 2 and "error:" in err
     assert not res.exists()
+
+
+def test_non_finite_coordinate_in_index_exits_2(workspace, capsys, tmp_path):
+    header, cols = read_index(_build_grt(workspace, capsys))
+    cols["coords/f1"][5] = float("nan")
+    bad, res = tmp_path / "nan.idx", tmp_path / "r.jsonl"
+    write_index(bad, header, cols)
+    code, err = _query_exit(capsys, workspace, bad, res)
+    assert code == 2 and "non-finite" in err
+    assert not res.exists()
+
+
+@pytest.fixture(scope="module")
+def fuzz_indexes(tmp_path_factory):
+    """Small indexes of both structures, their workload and their results."""
+    work = tmp_path_factory.mktemp("fuzz")
+    d, f, w = work / "d.jsonl", work / "f.json", work / "w.jsonl"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen", "--factors", "l2:2,abs1d", "--n", "24", "--seed", "4", "--queries", "4",
+                     "--dataset-out", str(d), "--factors-out", str(f), "--workload-out", str(w)]) == 0
+        for structure in ("product-tree", "grt"):
+            idx = work / f"{structure}.idx"
+            assert main(["build", "--dataset", str(d), "--factors", str(f), "--structure", structure,
+                         "--out", str(idx)]) == 0
+            assert main(["query", "--index", str(idx), "--workload", str(w),
+                         "--out", str(work / f"{structure}.res")]) == 0
+    return work
+
+
+@pytest.mark.parametrize("structure", ["product-tree", "grt"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_index_exits_2_or_answers_identically(fuzz_indexes, structure, data):
+    work = fuzz_indexes
+    good = (work / f"{structure}.idx").read_bytes()
+    if data.draw(st.booleans(), label="truncate"):
+        bad = good[: data.draw(st.integers(0, len(good) - 1), label="length")]
+    else:
+        pos = data.draw(st.integers(0, len(good) - 1), label="position")
+        bad = good[:pos] + bytes([good[pos] ^ data.draw(st.integers(1, 255), label="xor")]) + good[pos + 1 :]
+    idx, res = work / f"{structure}-bad.idx", work / f"{structure}-bad.res"
+    idx.write_bytes(bad)
+    res.unlink(missing_ok=True)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["query", "--index", str(idx), "--workload", str(work / "w.jsonl"), "--out", str(res)])
+    assert code == 2 or (code == 0 and res.read_bytes() == (work / f"{structure}.res").read_bytes())
+
+
+def test_closed_pipe_exits_141_without_traceback(workspace, capsys, monkeypatch):
+    idx = _build_grt(workspace, capsys)
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone, as after `| head`
+    with open(write_end, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = main(["stats", "--index", str(idx)])
+        monkeypatch.undo()
+        assert code == 141
+    # closing flushed what was left in the buffer, now into devnull
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_non_finite_inputs_exit_2(workspace, capsys, tmp_path):

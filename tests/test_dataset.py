@@ -1,6 +1,7 @@
 """Factor configuration, dataset table, and file round-trips."""
 
 import json
+import math
 
 import pytest
 
@@ -61,6 +62,10 @@ def test_dataset_validation():
             [FactorSpec("x", "abs1d"), FactorSpec("y", "abs1d")],
             {"x": [0.0, 1.0], "y": [0.0]},
         )
+    # non-finite columns, as an index file could hold them
+    for spec, col in [(FactorSpec("x", "abs1d"), [0.0, math.nan]), (FactorSpec("x", "l2", dim=2), [[0.0, math.inf]])]:
+        with pytest.raises(InputError, match="non-finite"):
+            Dataset([spec], {"x": col})
 
 
 def test_from_records_id_rules():

@@ -15,7 +15,7 @@ CASES = {
     "grt-l2xabs": (
         ["--factors", "l2:2,abs1d", "--generator", "gaussian", "--n", "64"],
         "grt",
-        "781dce3dac453d44508435b577fc681be2e40bef2f1d0d279861d6526fac0bea",
+        "42c052e91a9c0eb567451cf891086a7db04f5e09949d2a448f120cbd16e3c2ac",
         "902c82abe52f8d22743a34d2f868e5cb7d2d826c9a611b8e82e7cbeff2492082",
     ),
     # n = 512: the primary search splits, and the level-1 searches scan
@@ -23,7 +23,7 @@ CASES = {
     "grt-l2xabs-512": (
         ["--factors", "l2:2,abs1d", "--n", "512"],
         "grt",
-        "c9d841d161c42c9577d5e426b3a6a65407b6543536ac8614f60a9e9220ffc54b",
+        "4604ec94df794161b768d4f5d483f614e99768b00be869d2a12ec52c0b31ca77",
         "aca0c87b470dc2ebab469d4e7a8652a876cf5159bb98e40ff142998a0db5bbe3",
     ),
     # m = 3: every merge of the middle factor is decorated with merges
@@ -31,19 +31,19 @@ CASES = {
     "grt-m3": (
         ["--factors", "l2:2,abs1d,abs1d", "--generator", "gaussian", "--n", "48"],
         "grt",
-        "e413aa85cb3d5d0f8770a5d65cab0fdf7bc33d64fc2d3b816c271b4b2953ba87",
+        "5e242fa63070ec2f802c4130b6e0af6554d9057ca2bf0279aafac1d17826e71e",
         "b7105bde782a27207faed2b19c5c284fbc3d535807b3b4669908aeb319f2195c",
     ),
     "ptree-lev": (
         ["--factors", "levenshtein,abs1d", "--n", "48"],
         "product-tree",
-        "e0fe78dba4b66b2a839b26b9161739f841c5c8594b06785be9687d17bd4545bb",
+        "653b557f188b4c1fdbd97db6c1c498f57034a2c9f0064703258279842006d00e",
         "f0064410178374ee0d5efbc807bdf106ac611668a590cd3ecc8b00152d59414c",
     ),
     "ptree-l2x2": (
         ["--factors", "l2:2,l2:2", "--n", "256"],
         "product-tree",
-        "d03196198ca9159ca93d0106ce205c41bded5f063b8884211906164a27d2eb1e",
+        "f167dc817f994a7f37c3acb42468de92b36796eb222511835c4275a63e80bde6",
         "b5efb8b0547bf395f63b4c2e3a02ec36cf3f89d9ccdc8a88975d50b472f7fe53",
     ),
     # dim 9 is past numpy's 8-wide pairwise blocks, so this pins the
@@ -51,7 +51,7 @@ CASES = {
     "ptree-l2w9xabs": (
         ["--factors", "l2:9,abs1d", "--n", "64"],
         "product-tree",
-        "a4f7b7ff803f78f67159df56690474791896c802ed1d2dc782a1e31d970822b7",
+        "8813731702f32775544cb56d2d5dc7f102c435769ff62c2c7c4c606c47f79978",
         "d4667d5f11137d75eabf256cec4be53077270b7ee372bf50d8fe10e55e5c3bff",
     ),
 }

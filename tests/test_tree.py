@@ -274,13 +274,13 @@ def test_fast_merge_equals_rebuild(trial):
     k = rng.randrange(1, n)
     a = build_greedy_tree(greedy_permutation(sorted(ids[:k]), m), m)
     b = build_greedy_tree(greedy_permutation(sorted(ids[k:]), m), m)
-    before_a, before_b = tree_to_obj(a), tree_to_obj(b)
+    before_a, before_b = copy.deepcopy(helpers.tree_columns(a)), copy.deepcopy(helpers.tree_columns(b))
     fast = merge(a, b, mode="fast")
     rebuilt = merge(a, b, mode="rebuild")
-    assert tree_to_obj(fast) == tree_to_obj(rebuilt)
+    assert helpers.tree_columns(fast) == helpers.tree_columns(rebuilt)
     assert verify_greedy_tree(fast).ok
     # inputs are not consumed
-    assert tree_to_obj(a) == before_a and tree_to_obj(b) == before_b
+    assert helpers.tree_columns(a) == before_a and helpers.tree_columns(b) == before_b
 
 
 def test_merge_result_is_a_greedy_tree_of_the_union():
@@ -306,8 +306,8 @@ def test_merge_identity_and_validation():
     m = line_metric([0.0, 1.0, 5.0, 9.0])
     a = build_greedy_tree(greedy_permutation([0, 1], m), m)
     empty = GreedyTree.empty(m)
-    assert tree_to_obj(merge(a, empty)) == tree_to_obj(a)
-    assert tree_to_obj(merge(empty, a)) == tree_to_obj(a)
+    assert helpers.tree_columns(merge(a, empty)) == helpers.tree_columns(a)
+    assert helpers.tree_columns(merge(empty, a)) == helpers.tree_columns(a)
 
     other = line_metric([0.0, 1.0, 5.0, 9.0])
     b_other = build_greedy_tree(greedy_permutation([2, 3], other), other)
@@ -336,96 +336,108 @@ def test_merge_seeds_from_larger_eccentricity():
 # ---------------------------------------------------------------------------
 
 
+def _same_obj(a, b):
+    return a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) and a[k].dtype == b[k].dtype for k in a)
+
+
 def test_roundtrip_is_bit_exact():
     rng = random.Random(21)
     values = [rng.uniform(0, 1) for _ in range(33)]
     m = line_metric(values)
     t = build_greedy_tree(greedy_permutation(list(range(33)), m), m)
-    obj = tree_to_obj(t)
-    t2, _ = tree_from_obj(obj, m)
-    assert tree_to_obj(t2) == obj
+    obj = tree_to_obj([t])
+    assert {k: v.dtype.str for k, v in obj.items()} == {"radius": "<f8", "count": "<i4", "center": "<i4"}
+    (t2,) = tree_from_obj(obj, m, [33])
+    assert _same_obj(tree_to_obj([t2]), obj)
+    assert helpers.tree_columns(t2) == helpers.tree_columns(t)
     assert t2.radius == t.radius  # equality, not approx
     assert verify_greedy_tree(t2, m).ok
 
 
-def test_roundtrip_survives_json():
-    import json
-
+def test_roundtrip_survives_raw_bytes():
     m = line_metric([0.1, 0.7, 1.0 / 3.0])
     t = build_greedy_tree(greedy_permutation([0, 1, 2], m), m)
-    obj = json.loads(json.dumps(tree_to_obj(t)))
-    t2, _ = tree_from_obj(obj, m)
-    assert tree_to_obj(t2) == tree_to_obj(t)
+    obj = {k: np.frombuffer(v.tobytes(), dtype=v.dtype) for k, v in tree_to_obj([t]).items()}
+    (t2,) = tree_from_obj(obj, m, [3])
+    assert helpers.tree_columns(t2) == helpers.tree_columns(t)
+
+
+def test_forest_roundtrip_splits_trees_apart():
+    m = line_metric([0.0, 1.0, 5.0, 9.0, 2.5, 7.0])
+    trees = [build_greedy_tree(greedy_permutation(ids, m), m) for ids in ([0, 1, 2], [3], [4, 5, 0, 1])]
+    back = tree_from_obj(tree_to_obj(trees), m, [3, 1, 4])
+    assert [helpers.tree_columns(t) for t in back] == [helpers.tree_columns(t) for t in trees]
+    # one point id may sit in several trees of a forest, never twice in one
+    assert all(verify_greedy_tree(t).ok for t in back)
 
 
 def test_from_obj_rejects_malformed_input():
     m = line_metric([0.0, 1.0])
     t = build_greedy_tree(greedy_permutation([0, 1], m), m)
-    good = tree_to_obj(t)
+    good = tree_to_obj([t])
+    tree_from_obj(good, m, [2])
 
     with pytest.raises(InputError):
-        tree_from_obj({"format": "something-else", "version": 1, "n": 0, "nodes": []}, m)
+        tree_from_obj({k: v for k, v in good.items() if k != "count"}, m, [2])  # a column missing
     with pytest.raises(InputError):
-        tree_from_obj({**good, "version": 99}, m)
-    bad = copy.deepcopy(good)
-    bad["nodes"][0].pop("right")
+        tree_from_obj({**good, "extra": good["count"]}, m, [2])
     with pytest.raises(InputError):
-        tree_from_obj(bad, m)
-    bad = copy.deepcopy(good)
-    bad["nodes"][0]["right"] = 17  # out of preorder range
+        tree_from_obj({**good, "radius": good["radius"].tolist()}, m, [2])  # not an array
     with pytest.raises(InputError):
-        tree_from_obj(bad, m)
-    bad = copy.deepcopy(good)
-    bad["n"] = 5
+        tree_from_obj({**good, "count": good["count"].reshape(1, 3)}, m, [2])
     with pytest.raises(InputError):
-        tree_from_obj(bad, m)
+        tree_from_obj({**good, "count": good["count"].astype("<i8")}, m, [2])
+    for sizes in ([5], [1], [1, 1], [0, 2], []):
+        with pytest.raises(InputError):
+            tree_from_obj(good, m, sizes)
 
 
 def _corrupt_center(obj):
-    obj["nodes"][2]["center"] = 10**6
+    obj["center"][2] = 10**6
 
 
 def _corrupt_radius_nan(obj):
-    obj["nodes"][0]["radius"] = math.nan
+    obj["radius"][0] = math.nan
 
 
 def _corrupt_radius_negative(obj):
-    obj["nodes"][0]["radius"] = -1.0
+    obj["radius"][0] = -1.0
 
 
 def _corrupt_leaf_radius(obj):
-    leaf = next(rec for rec in obj["nodes"] if "left" not in rec)
-    leaf["radius"] = 0.25
+    obj["radius"][np.flatnonzero(obj["count"] == 1)[0]] = 0.25
 
 
 def _corrupt_left_link(obj):
-    obj["nodes"][0]["left"] = 2
+    # the root's left child claims to be a leaf, so the root's right link
+    # (i + 2*count[i+1]) points into its left subtree
+    obj["count"][1] = 1
 
 
 def _corrupt_right_link(obj):
-    # a right link that stays inside the array but skips part of the
-    # left subtree
-    obj["nodes"][0]["right"] -= 2
+    # the root's right subtree claims one point fewer, so the counts no
+    # longer add up
+    obj["count"][2 * obj["count"][1]] -= 1
 
 
 def _corrupt_left_center(obj):
-    obj["nodes"][1]["center"] = obj["nodes"][obj["nodes"][0]["right"]]["center"]
+    obj["center"][1] = obj["center"][2 * obj["count"][1]]
 
 
 def _corrupt_record_type(obj):
-    obj["nodes"][3] = [obj["nodes"][3]["center"], 0.0]
+    obj["radius"] = obj["radius"][:-1]  # one column a node short
 
 
 def _corrupt_center_type(obj):
-    obj["nodes"][3]["center"] = "3"
+    obj["center"] = obj["center"].astype("<f8")
 
 
 def _corrupt_duplicate_leaf(obj):
     # a right-child leaf takes the root's point id: that id is then in two
     # leaves and the leaf's own point in none
-    nodes = obj["nodes"]
-    r = next(rec["right"] for rec in nodes if "right" in rec and "right" not in nodes[rec["right"]])
-    nodes[r]["center"] = nodes[0]["center"]
+    count, center = obj["count"], obj["center"]
+    r = next(i + 2 * count[i + 1] for i in range(len(count)) if count[i] > 1 and count[i + 2 * count[i + 1]] == 1)
+    center[r] = center[0]
 
 
 @pytest.mark.parametrize(
@@ -445,8 +457,8 @@ def _corrupt_duplicate_leaf(obj):
 )
 def test_from_obj_rejects_corrupt_nodes(corrupt):
     t = _fresh_tree(n=12)
-    obj = tree_to_obj(t)
-    tree_from_obj(copy.deepcopy(obj), t.metric)  # the intact object decodes
+    obj = tree_to_obj([t])
+    tree_from_obj(copy.deepcopy(obj), t.metric, [12])  # the intact columns decode
     corrupt(obj)
     with pytest.raises(InputError):
-        tree_from_obj(obj, t.metric)
+        tree_from_obj(obj, t.metric, [12])
