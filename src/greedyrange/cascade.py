@@ -1,27 +1,26 @@
-"""Cascaded greedy trees: one tree per factor, nested node by node.
+"""Cascaded greedy trees: one forest per factor, as range trees are laid
+out level by level in arrays (de Berg et al., *Computational Geometry*,
+ch. 5).  An index file stores the same forests.
 
-The first factor gets a greedy tree over the whole dataset.  Every node
-of that tree carries an auxiliary structure over exactly its own points,
-built on the remaining factors; with one factor left the auxiliary is a
-plain greedy tree.  The auxiliaries form a list indexed like the primary
-tree's preorder nodes.  They are assembled bottom-up: a node's tree on
-the next factor is ``merge`` of its children's, which reruns the one
-greedy pass on the union and leaves the children's trees untouched, so
-child structures stay valid after their parent is built.  With two or
-more factors left, the merged tree is decorated in turn.
+Level 0 is a greedy tree over the dataset on the first factor.  Level
+k + 1 holds, for every node of level k in preorder, a tree over exactly
+that node's points; node v's tree starts at the exclusive cumulative sum
+of ``2*count - 1`` over the nodes before v.  A level is built bottom-up:
+a leaf's tree is its one point, an internal node's is ``merge`` of its
+children's.  The trees' columns go into the level's arrays at their
+roots, and the same ``tree_from_obj`` that loads an index decodes them,
+so a built cascade equals a loaded one by construction.
 
-A query peels one factor per level: a range cover on the primary tree,
-then one frontier search over the auxiliaries of all the cover nodes at
-once (their trees share the level's factor and its point ids), whose
-reported nodes select the auxiliaries of the next level.  Small subtrees
-that search finds are scanned exactly on every remaining factor at once,
-so their points skip the deeper levels.
+A query peels one factor per level: a range cover on level 0, then one
+frontier search per deeper level from the roots of the trees of the nodes
+reported above.  Small subtrees that search finds are scanned exactly on
+every remaining factor at once, so their points skip the deeper levels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -29,14 +28,7 @@ from . import search
 from .errors import InputError
 from .metrics import MetricSpace
 from .search import ProductQuery, SearchStats, _frontier_search, _points, range_cover, range_report
-from .tree import (
-    GreedyTree,
-    build_greedy_tree,
-    greedy_permutation,
-    merge,
-    tree_from_obj,
-    tree_to_obj,
-)
+from .tree import FOREST_DTYPES, GreedyTree, build_greedy_tree, greedy_permutation, merge, tree_from_obj, tree_to_obj
 
 __all__ = [
     "GreedyRangeTree",
@@ -47,44 +39,74 @@ __all__ = [
     "grt_from_obj",
 ]
 
-@dataclass
+
+def _roots(level: GreedyTree) -> list[int]:
+    """Where each node's tree starts in the next level, and one past the last."""
+    spans = 2 * np.asarray(level.count, dtype=np.int64) - 1
+    return np.concatenate([[0], np.cumsum(spans)]).tolist()
+
+
+def _cut(t: GreedyTree, s: int, e: int) -> GreedyTree:
+    """The whole trees of forest ``t`` at nodes [s, e), as a forest of their own."""
+    f = t.first[s]
+    g = t.first[e] if e < len(t.center) else t.n
+    right = [r - s if r >= 0 else r for r in t.right[s:e]]
+    first = [x - f for x in t.first[s:e]]
+    return GreedyTree(t.metric, t.center[s:e], t.radius[s:e], t.count[s:e], right, first, t.leaves[f:g])
+
+
+@dataclass(eq=False)
 class GreedyRangeTree:
-    """Cascade over two or more factors (one factor is a plain tree)."""
+    """Cascade over two or more factors (one factor is a plain tree).
 
-    primary: GreedyTree
-    aux: list["GreedyRangeTree | GreedyTree"]  # one per primary node, in preorder
+    ``levels[k]`` is the forest on ``factors[k]``; ``roots[k][v]`` is
+    where level-k node v's tree starts in level k + 1.
+    """
+
+    levels: list[GreedyTree]
     factors: list[MetricSpace]
+    roots: list[list[int]] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.roots = [_roots(level) for level in self.levels[:-1]]
 
     @property
-    def n(self) -> int:
-        return self.primary.n
-
-    @property
-    def m(self) -> int:
-        return len(self.factors)
+    def primary(self) -> GreedyTree:
+        return self.levels[0]
 
     def aux_of(self, node: int) -> "GreedyRangeTree | GreedyTree":
-        return self.aux[node]
+        """Level-0 node ``node``'s cascade on the other factors, cut out of the forests."""
+        s, e = node, node + 1
+        cut = []
+        for roots, level in zip(self.roots, self.levels[1:]):
+            s, e = roots[s], roots[e]
+            cut.append(_cut(level, s, e))
+        return cut[0] if len(cut) == 1 else GreedyRangeTree(cut, self.factors[1:])
 
 
-def _decorate(tree: GreedyTree, rest: Sequence[MetricSpace]) -> list[Any]:
-    """Build an auxiliary per node of ``tree`` over the ``rest`` factors."""
-    aux: list[Any] = [None] * len(tree.center)
+def levels_of(struct: GreedyRangeTree | GreedyTree) -> list[GreedyTree]:
+    """The forests of a cascade; a plain tree is one level."""
+    return struct.levels if isinstance(struct, GreedyRangeTree) else [struct]
+
+
+def _build_level(upper: GreedyTree, factor: MetricSpace) -> GreedyTree:
+    """The forest on ``factor`` of one tree per node of ``upper``."""
+    roots = _roots(upper)
+    cols: dict[str, list] = {name: [0] * roots[-1] for name in FOREST_DTYPES}
+    trees: list[GreedyTree | None] = [None] * len(upper.center)
     # Children have larger preorder indices than their parent.
-    for i in reversed(tree.nodes()):
-        r = tree.right[i]
+    for v in reversed(upper.nodes()):
+        r = upper.right[v]
         if r < 0:
-            aux[i] = build_grt([tree.center[i]], rest)
-        elif len(rest) == 1:
-            aux[i] = merge(aux[i + 1], aux[r])
+            t = build_greedy_tree(greedy_permutation([upper.center[v]], factor), factor)
         else:
-            primary = merge(aux[i + 1].primary, aux[r].primary)
-            aux[i] = GreedyRangeTree(
-                primary=primary,
-                aux=_decorate(primary, rest[1:]),
-                factors=list(rest),
-            )
-    return aux
+            t = merge(trees[v + 1], trees[r])
+            trees[v + 1] = trees[r] = None
+        trees[v] = t
+        for name, col in cols.items():
+            col[roots[v] : roots[v + 1]] = getattr(t, name)
+    obj = {name: np.array(cols[name], dtype) for name, dtype in FOREST_DTYPES.items()}
+    return tree_from_obj(obj, factor, upper.count)
 
 
 def build_grt(
@@ -102,29 +124,26 @@ def build_grt(
         raise InputError("at least one factor is required")
     if not points:
         raise InputError("n >= 1 required: no points to index")
-    tree = build_greedy_tree(greedy_permutation(points, factors[0], seed=seed), factors[0])
+    levels = [build_greedy_tree(greedy_permutation(points, factors[0], seed=seed), factors[0])]
     if len(factors) == 1:
-        return tree
-    return GreedyRangeTree(
-        primary=tree,
-        aux=_decorate(tree, factors[1:]),
-        factors=factors,
-    )
+        return levels[0]
+    for factor in factors[1:]:
+        levels.append(_build_level(levels[-1], factor))
+    return GreedyRangeTree(levels, factors)
 
 
 def grt_query(struct: GreedyRangeTree | GreedyTree, query: ProductQuery) -> tuple[set[int], SearchStats]:
     """Answer a product query level by level.
 
     Same sandwich contract as the single-tree search, with the same eps
-    applied at every level.  Level 0 is a range cover (or report) on the
-    top tree; each deeper level searches the auxiliaries of every cover
-    node from the level above in one frontier search.  A bucket found at
-    level i >= 1 is scanned exactly on factors i..m-1, and its points
-    skip the deeper levels.  Width and height are maxima over the levels;
-    splits and per-factor evaluations add up.
+    applied at every level.  Level 0 is a range cover (or report); each
+    deeper level is one frontier search from the roots of the trees of
+    every node reported above.  A bucket found at level i >= 1 is
+    scanned exactly on factors i..m-1, and its points skip the deeper
+    levels.  Width and height are maxima over the levels; splits and
+    per-factor evaluations add up.
     """
-    m = len(query.radii)
-    declared = struct.m if isinstance(struct, GreedyRangeTree) else 1
+    m, declared = len(query.radii), len(levels_of(struct))
     if m != declared:
         raise InputError(f"query has {m} radii but the structure has {declared} factors")
     coords, radii, eps = query.coords, query.radii, query.epsilon
@@ -134,13 +153,13 @@ def grt_query(struct: GreedyRangeTree | GreedyTree, query: ProductQuery) -> tupl
     cover, stats = range_cover(struct.primary, coords[0], radii[0], eps)
     width, height, splits = stats.width, stats.height, stats.splits
     evals = [stats.dist_evals[0]] + [0] * (m - 1)
-    level = [struct.aux[v] for v in cover.nodes]
+    nodes = cover.nodes
     points: set[int] = set()
     for i in range(1, m):
-        trees = [s.primary if isinstance(s, GreedyRangeTree) else s for s in level]
+        t, roots = struct.levels[i], struct.roots[i - 1]
         scan = list(zip(struct.factors[i:], coords[i:], radii[i:]))
-        outs, hits, stats = _frontier_search(
-            trees, [struct.factors[i]], [coords[i]], [radii[i]], eps,
+        nodes, hits, stats = _frontier_search(
+            t, [roots[v] for v in nodes], [struct.factors[i]], [coords[i]], [radii[i]], eps,
             leaf_size=search.LEAF_SIZE, scan=scan,
         )
         width, height = max(width, stats.width), max(height, stats.height)
@@ -148,49 +167,33 @@ def grt_query(struct: GreedyRangeTree | GreedyTree, query: ProductQuery) -> tupl
         for j, count in enumerate(stats.dist_evals, start=i):
             evals[j] += count
         points.update(hits.tolist())
-        if i < m - 1:
-            level = [s.aux[v] for s, nodes in zip(level, outs) for v in nodes]
-    for t, nodes in zip(trees, outs):
-        points |= _points(t, nodes)
+    points |= _points(t, nodes)
     return points, SearchStats(width, height, splits, tuple(evals), len(points))
 
 
 def aux_leaf_totals(struct: GreedyRangeTree | GreedyTree) -> dict[int, int]:
     """Leaf counts per cascade level (level 0 is the primary tree)."""
-    totals: dict[int, int] = {}
-
-    def walk(s: GreedyRangeTree | GreedyTree, level: int) -> None:
-        if isinstance(s, GreedyTree):
-            totals[level] = totals.get(level, 0) + s.n
-            return
-        totals[level] = totals.get(level, 0) + s.primary.n
-        for sub in s.aux:
-            walk(sub, level + 1)
-
-    walk(struct, 0)
-    return totals
+    return {k: level.n for k, level in enumerate(levels_of(struct))}
 
 
 # ---------------------------------------------------------------------------
-# Serialization: one forest per cascade level.  Level 0 is the top tree;
-# level k + 1 holds the auxiliary primaries of every level-k node, tree
-# after tree in level-k node order, so the aux of node j holds exactly
-# node j's count points.
+# Serialization: the forests themselves, level by level.
 # ---------------------------------------------------------------------------
 
 
 def grt_to_obj(struct: GreedyRangeTree | GreedyTree) -> list[dict[str, np.ndarray]]:
-    levels = []
-    level = [struct]
-    while level:
-        levels.append(tree_to_obj([s.primary if isinstance(s, GreedyRangeTree) else s for s in level]))
-        level = [sub for s in level if isinstance(s, GreedyRangeTree) for sub in s.aux]
-    return levels
+    return [tree_to_obj(level) for level in levels_of(struct)]
 
 
 def grt_from_obj(
     levels: Sequence[dict[str, np.ndarray]], factors: Sequence[MetricSpace], n: int
 ) -> GreedyRangeTree | GreedyTree:
+    """Decode and validate the forests of a cascade over ``n`` points.
+
+    The trees of level k + 1 must also hold exactly the points of their
+    level-k nodes: one comparison of sorted (node, point id) keys per pair
+    of adjacent levels, with no distance work.
+    """
     factors = list(factors)
     if not factors:
         raise InputError("at least one factor is required")
@@ -203,11 +206,14 @@ def grt_from_obj(
         except InputError as exc:
             raise InputError(f"cascade level {k}: {exc}") from exc
         sizes = level["count"]
-    structs: list[Any] = forests[-1]
-    for k in range(len(forests) - 2, -1, -1):
-        upper, pos = [], 0
-        for t in forests[k]:
-            upper.append(GreedyRangeTree(primary=t, aux=structs[pos : pos + len(t.center)], factors=factors[k:]))
-            pos += len(t.center)
-        structs = upper
-    return structs[0]
+    width = max(len(f) for f in factors)
+    for k in range(1, len(forests)):
+        count = levels[k - 1]["count"].astype(np.int64)
+        node = np.repeat(np.arange(len(count)), count)
+        # Node v's leaf slice starts at the number of leaves before it.
+        leaf = count == 1
+        pos = np.arange(len(node)) + np.repeat(np.cumsum(leaf) - leaf - (np.cumsum(count) - count), count)
+        above = np.sort(node * width + forests[k - 1].leaves[pos])
+        if (np.sort(node * width + forests[k].leaves) != above).any():
+            raise InputError(f"cascade level {k}: a tree's points are not those of its node in level {k - 1}")
+    return forests[0] if len(forests) == 1 else GreedyRangeTree(forests, factors)

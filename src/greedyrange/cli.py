@@ -24,7 +24,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .cascade import GreedyRangeTree, aux_leaf_totals, build_grt, grt_from_obj, grt_query, grt_to_obj
+from .cascade import aux_leaf_totals, build_grt, grt_from_obj, grt_query, grt_to_obj, levels_of
 from .dataset import (
     Dataset,
     FactorSpec,
@@ -42,7 +42,8 @@ from .errors import ConfigurationError, InputError
 from .metrics import dataset_summary
 from .oracle import exact_product_range, sandwich_check
 from .search import ProductQuery, SearchStats, product_range_query
-from .tree import FOREST_DTYPES, GreedyTree, build_greedy_tree, greedy_permutation, tree_from_obj, tree_to_obj
+from .tree import FOREST_DTYPES, GreedyTree, build_greedy_tree, greedy_permutation
+from .tree import tree_from_obj, tree_to_obj  # noqa: F401  (unused; bench/tracer.py wraps them here)
 
 INDEX_FORMAT = "greedyrange-index"
 INDEX_VERSION = 2
@@ -95,8 +96,7 @@ def save_index(path: str | Path, dataset: Dataset, structure: str, struct: Any) 
             strings[spec.name] = col
         else:
             columns[f"coords/{spec.name}"] = col.astype("<f8")
-    levels = [tree_to_obj([struct])] if structure == "product-tree" else grt_to_obj(struct)
-    for k, level in enumerate(levels):
+    for k, level in enumerate(grt_to_obj(struct)):
         columns.update((f"level{k}/{name}", col) for name, col in level.items())
     table, offset = [], 0
     for name, col in columns.items():
@@ -118,8 +118,8 @@ def save_index(path: str | Path, dataset: Dataset, structure: str, struct: Any) 
         fh.write(payload)
 
 
-def _load(path: str | Path) -> tuple[str, Dataset, Any, dict[str, np.ndarray]]:
-    """Check, decode and validate an index; also returns its payload columns."""
+def load_index(path: str | Path) -> tuple[str, Dataset, Any]:
+    """Check, decode and validate an index: (structure, dataset, tree or cascade)."""
     line, _, payload = Path(path).read_bytes().partition(b"\n")
     try:
         header = json.loads(line)
@@ -174,24 +174,17 @@ def _load(path: str | Path) -> tuple[str, Dataset, Any, dict[str, np.ndarray]]:
         raise InputError(f"{path}: malformed coordinate columns: {exc}") from exc
     if dataset.n != n:
         raise InputError(f"{path}: coordinate columns disagree with n={n!r}")
+    spaces = [dataset.product()] if structure == "product-tree" else dataset.spaces()
     levels = [
         {name: column(f"level{k}/{name}", dtype) for name, dtype in FOREST_DTYPES.items()}
-        for k in range(1 if structure == "product-tree" else dataset.m)
+        for k in range(len(spaces))
     ]
     if set(entries) != set(columns):
         raise InputError(f"{path}: unexpected columns {sorted(map(str, set(entries) - set(columns)))}")
     try:
-        if structure == "product-tree":
-            struct = tree_from_obj(levels[0], dataset.product(), [dataset.n])[0]
-        else:
-            struct = grt_from_obj(levels, dataset.spaces(), dataset.n)
+        struct = grt_from_obj(levels, spaces, dataset.n)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
-    return structure, dataset, struct, columns
-
-
-def load_index(path: str | Path) -> tuple[str, Dataset, Any]:
-    structure, dataset, struct, _ = _load(path)
     return structure, dataset, struct
 
 
@@ -418,7 +411,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     """Size report for an index, plus its dataset's exact spreads from the
     O(n^2) all-pairs scan of ``dataset_summary`` (null where a distance is
     zero, and at n = 1, which has no pairs)."""
-    structure, dataset, struct, columns = _load(args.index)
+    structure, dataset, struct = load_index(args.index)
     spread: dict[str, Any] = {spec.name: None for spec in dataset.specs}
     product_spread = None
     duplicates = False
@@ -428,10 +421,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
             spread[name] = None if st.has_duplicates else st.spread
             duplicates = duplicates or st.has_duplicates
         product_spread = None if summary.product.has_duplicates else summary.product.spread
-    primary = struct if isinstance(struct, GreedyTree) else struct.primary
-    levels = 1 if structure == "product-tree" else dataset.m
+    levels = levels_of(struct)
+    primary = levels[0]
     histogram = _depth_histogram(primary)
     rad, right = primary.radius, primary.right
+    node_bytes = sum(np.dtype(dtype).itemsize for dtype in FOREST_DTYPES.values())
     report: dict[str, Any] = {
         "structure": structure,
         "n": dataset.n,
@@ -441,8 +435,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
         "nodes_per_depth": histogram,
         "radius_inversions": sum(1 for i, r in enumerate(right) if r >= 0 and rad[r] > rad[i]),
         "index_bytes": Path(args.index).stat().st_size,
-        "level_nodes": [len(columns[f"level{k}/count"]) for k in range(levels)],
-        "level_bytes": [sum(columns[f"level{k}/{name}"].nbytes for name in FOREST_DTYPES) for k in range(levels)],
+        "level_nodes": [len(level.center) for level in levels],
+        "level_bytes": [len(level.center) * node_bytes for level in levels],
         "spread": spread,
         "product_spread": product_spread,
         "has_duplicates": duplicates,

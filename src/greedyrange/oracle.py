@@ -26,7 +26,8 @@ def exact_product_range(
 ) -> set[int]:
     """Points within ``radii[i]`` of ``coords[i]`` in every factor.
 
-    Boundaries are closed and radii of zero are allowed.
+    Boundaries are closed and radii of zero are allowed.  An ndarray of
+    ids is used as it is; any other iterable is read with ``np.fromiter``.
     """
     factors = list(factors)
     if not factors:
@@ -35,7 +36,7 @@ def exact_product_range(
         raise InputError("factors, coords, and radii must align")
     if any(r < 0 for r in radii):
         raise InputError(f"radii must be nonnegative, got {tuple(radii)}")
-    ids = np.asarray(list(points), dtype=np.intp)
+    ids = points if isinstance(points, np.ndarray) else np.fromiter(points, dtype=np.intp)
     if ids.size == 0:
         return set()
     mask = np.ones(ids.size, dtype=bool)

@@ -148,22 +148,22 @@ class NodeCover:
 
 
 def _frontier_search(
-    trees: Sequence[GreedyTree],
+    t: GreedyTree,
+    roots: Sequence[int],
     factors: Sequence[MetricSpace | ProductMetric],
     coords: Sequence[Any],
     radii: Sequence[float],
     epsilon: float,
     leaf_size: int = 1,
     scan: Sequence[tuple[MetricSpace | ProductMetric, Any, float]] | None = None,
-    probe: Callable[[list[list[int]], list[list[int]], list[tuple]], None] | None = None,
-) -> tuple[list[list[int]], np.ndarray, SearchStats]:
-    """Search every tree from its root in rounds; see the module docstring.
+    probe: Callable[[list[int], list[int], list[tuple]], None] | None = None,
+) -> tuple[list[int], np.ndarray, SearchStats]:
+    """Search the trees of forest ``t`` at ``roots`` in rounds; see the module docstring.
 
-    All trees index ``factors`` by the same point ids.  Nodes above the
-    cutoff with at most ``leaf_size`` points are buckets.  Their points
-    are tested exactly against the ``(factor, coord, radius)`` triples of
-    ``scan``, which default to the searched factors and must begin with
-    them.  Returns the reported node indices of each tree, the scanned
+    Nodes above the cutoff with at most ``leaf_size`` points are buckets.
+    Their points are tested exactly against the ``(factor, coord,
+    radius)`` triples of ``scan``, which default to the searched factors
+    and must begin with them.  Returns the reported nodes, the scanned
     point ids that passed every triple, and stats with width and height
     as maxima and splits and evaluations as sums over the trees; the
     evaluations have one entry per scan triple.  ``probe`` (debug) sees
@@ -172,21 +172,21 @@ def _frontier_search(
     """
     if scan is None:
         scan = list(zip(factors, coords, radii))
-    cols = [(t.center, t.radius, t.right, t.count) for t in trees]
+    center, radius, right, count = t.center, t.radius, t.right, t.count
     m = len(factors)
     evals = [0] * len(scan)
     expanded = [(1.0 + epsilon) * r for r in radii]
     cutoff = epsilon * min(radii) / 2.0
-    out: list[list[int]] = [[] for _ in trees]
-    buckets: list[list[int]] = [[] for _ in trees]
-    split: list[set[int]] = [set() for _ in trees]
+    out: list[int] = []
+    buckets: list[int] = []
+    split: set[int] = set()
     height = 0
-    # Entries: (tree, node, split depth, radius, center dists so far).
-    # The roots take the same entry test as any right child: every
-    # reported node must have passed it, or reporting below the cutoff
-    # without a whole-node test is unsound.
-    fresh = [(k, 0, 0, t.radius[0], []) for k, t in enumerate(trees) if t.n]
-    ids = [t.center[0] for t in trees if t.n]  # the fresh entries' centers
+    # Entries: (node, split depth, radius, center dists so far).  The
+    # roots take the same entry test as any right child: every reported
+    # node must have passed it, or reporting below the cutoff without a
+    # whole-node test is unsound.
+    fresh = [(v, 0, radius[v], []) for v in roots]
+    ids = [center[v] for v in roots]  # the fresh entries' centers
     while True:
         # Factor i sees only the centers factor i-1 kept, so counts stay
         # those of a loop that stops at the first pruning factor.
@@ -195,14 +195,14 @@ def _frontier_search(
             if not frontier:
                 break
             if i:
-                ids = [cols[e[0]][0][e[1]] for e in frontier]
+                ids = [center[e[0]] for e in frontier]
             row = factors[i].dist_point_many(coords[i], ids)
             evals[i] += len(ids)
             ri = radii[i]
             kept = []
             for e, d in zip(frontier, row.tolist()):
-                if d <= ri + e[3]:
-                    e[4].append(d)
+                if d <= ri + e[2]:
+                    e[3].append(d)
                     kept.append(e)
             frontier = kept
         if probe is not None:
@@ -212,22 +212,21 @@ def _frontier_search(
         fresh, ids = [], []
         # A left child that passes its entry test joins this round's
         # frontier: it needs no new distances.
-        for k, v, depth, r, ds in frontier:
+        for v, depth, r, ds in frontier:
             if r <= cutoff:
-                out[k].append(v)
+                out.append(v)
                 continue
             for d, e in zip(ds, expanded):
                 if d > e - r:
                     break
             else:
-                out[k].append(v)
+                out.append(v)
                 continue
-            center, radius, right, count = cols[k]
             if count[v] <= leaf_size:
-                buckets[k].append(v)
+                buckets.append(v)
                 continue
             # Above the cutoff every node is internal: leaves have radius 0.
-            split[k].add(v)
+            split.add(v)
             depth += 1
             if depth > height:
                 height = depth
@@ -236,14 +235,14 @@ def _frontier_search(
                 if d > ri + rl:
                     break
             else:
-                frontier.append((k, v + 1, depth, rl, ds))
+                frontier.append((v + 1, depth, rl, ds))
             c = right[v]
-            fresh.append((k, c, depth, radius[c], []))
+            fresh.append((c, depth, radius[c], []))
             ids.append(center[c])
 
     hits = np.empty(0, dtype=np.intp)
-    if any(buckets):
-        hits = np.concatenate([subtree_points(t, v) for t, vs in zip(trees, buckets) for v in vs])
+    if buckets:
+        hits = np.concatenate([subtree_points(t, v) for v in buckets])
         for j, (factor, q, r) in enumerate(scan):
             row = factor.dist_point_many(q, hits)
             evals[j] += len(hits)
@@ -251,22 +250,21 @@ def _frontier_search(
             if not len(hits):
                 break
 
-    width = 0
-    for t, nodes, bs, sp in zip(trees, out, buckets, split):
-        if nodes or bs or sp:
-            width = max(width, _replay_width(t, sp, set(nodes).union(bs), cutoff))
+    reported = set(out).union(buckets)  # a bucket counts as reported
+    entered = [v for v in roots if v in split or v in reported]
+    width = max((_replay_width(t, v, split, reported, cutoff) for v in entered), default=0)
     stats = SearchStats(
         width=width,
         height=height,
-        splits=sum(len(sp) for sp in split),
+        splits=len(split),
         dist_evals=tuple(evals),
-        output_size=sum(t.count[v] for t, nodes in zip(trees, out) for v in nodes) + len(hits),
+        output_size=sum(count[v] for v in out) + len(hits),
     )
     return out, hits, stats
 
 
-def _replay_width(t: GreedyTree, split: set[int], reported: set[int], cutoff: float) -> int:
-    """Peak heap size of the best-first loop with the same splits.
+def _replay_width(t: GreedyTree, root: int, split: set[int], reported: set[int], cutoff: float) -> int:
+    """Peak heap size of the best-first loop with the same splits, from ``root``.
 
     That loop pops by (-radius, center id), a total order because the
     centers of queued nodes are distinct, so the replay pops in its
@@ -275,7 +273,7 @@ def _replay_width(t: GreedyTree, split: set[int], reported: set[int], cutoff: fl
     cutoff are never popped and only count toward the size.
     """
     center, radius, right = t.center, t.radius, t.right
-    heap = [(-radius[0], center[0], 0)] if radius[0] > cutoff else []
+    heap = [(-radius[root], center[root], root)] if radius[root] > cutoff else []
     pop, push = heapq.heappop, heapq.heappush
     size = width = 1
     while heap:
@@ -313,8 +311,8 @@ def product_range_query(t: GreedyTree, query: ProductQuery) -> tuple[set[int], S
         raise InputError("product_range_query needs a tree over a product metric")
     if len(query.radii) != metric.m:
         raise InputError(f"query has {len(query.radii)} radii but the tree has {metric.m} factors")
-    (nodes,), hits, stats = _frontier_search(
-        [t], metric.factors, query.coords, query.radii, query.epsilon, leaf_size=LEAF_SIZE
+    nodes, hits, stats = _frontier_search(
+        t, [0] if t.n else [], metric.factors, query.coords, query.radii, query.epsilon, leaf_size=LEAF_SIZE
     )
     points = _points(t, nodes)
     points.update(hits.tolist())
@@ -339,7 +337,7 @@ def range_cover(
         raise InputError(f"radius must be positive and finite, got {radius}")
     if not 0 <= epsilon < math.inf:
         raise InputError(f"epsilon must be nonnegative and finite, got {epsilon}")
-    (nodes,), _, stats = _frontier_search([t], [t.metric], [q], [radius], epsilon)
+    nodes, _, stats = _frontier_search(t, [0] if t.n else [], [t.metric], [q], [radius], epsilon)
     return NodeCover(tree=t, nodes=tuple(nodes)), stats
 
 

@@ -11,7 +11,9 @@ A tree is one set of columns indexed by node in preorder: ``center``,
 ``radius``, ``count`` (points below) and ``right`` (-1 at leaves).  The
 left child of internal node ``i`` is always ``i + 1``.  ``leaves`` lists
 the point ids in leaf order, so the points of node ``i`` are the slice
-``leaves[first[i]:first[i] + count[i]]``.
+``leaves[first[i]:first[i] + count[i]]``.  A forest is the same columns
+with its trees laid end to end: ``right`` and ``first`` index the whole
+forest, so ``subtree_points`` works on it unchanged.
 
 Exactness has one consequence worth knowing: a right child's radius may
 exceed its parent's when an attachment chain wanders around the center
@@ -365,15 +367,12 @@ def verify_greedy_tree(t: GreedyTree, metric: Metric | None = None) -> Verificat
 FOREST_DTYPES = {"radius": "<f8", "count": "<i4", "center": "<i4"}
 
 
-def tree_to_obj(trees: Sequence[GreedyTree]) -> dict[str, np.ndarray]:
-    """Encode a forest: the trees' preorder columns laid end to end."""
-    return {
-        name: np.array([x for t in trees for x in getattr(t, name)], dtype=dtype)
-        for name, dtype in FOREST_DTYPES.items()
-    }
+def tree_to_obj(t: GreedyTree) -> dict[str, np.ndarray]:
+    """Encode a tree or a forest: its stored preorder columns."""
+    return {name: np.array(getattr(t, name), dtype=dtype) for name, dtype in FOREST_DTYPES.items()}
 
 
-def tree_from_obj(obj: dict[str, np.ndarray], metric: Metric, sizes: Sequence[int]) -> list[GreedyTree]:
+def tree_from_obj(obj: dict[str, np.ndarray], metric: Metric, sizes: Sequence[int]) -> GreedyTree:
     """Decode and validate a forest of trees over ``sizes[j]`` points each.
 
     Every check is one array expression over the whole forest: node
@@ -383,6 +382,7 @@ def tree_from_obj(obj: dict[str, np.ndarray], metric: Metric, sizes: Sequence[in
     ids of ``metric``, radii are finite, nonnegative and zero at leaves,
     and no id is in two leaves of one tree.  Together these make each
     tree's nodes one preorder binary tree.  Radii are not recomputed.
+    The result is one ``GreedyTree`` holding the whole forest.
     """
     if not isinstance(obj, dict) or set(obj) != set(FOREST_DTYPES):
         raise InputError(f"a serialized forest has exactly the columns {sorted(FOREST_DTYPES)}")
@@ -425,13 +425,8 @@ def tree_from_obj(obj: dict[str, np.ndarray], metric: Metric, sizes: Sequence[in
         raise InputError("a tree has a point id in more than one leaf")
 
     rights = np.full(total, -1, dtype=np.int64)
-    rights[inner] = right - starts[tree_of[inner]]
+    rights[inner] = right
+    # In preorder a node's first leaf is the first leaf at or after it.
     firsts = np.cumsum(leaf) - leaf
-    firsts -= firsts[starts][tree_of]
     c, r, n, rt, fs = (col.tolist() for col in (center, radius, count, rights, firsts))
-    leaf_starts = np.cumsum(sizes) - sizes
-    return [
-        GreedyTree(metric, c[s:e], r[s:e], n[s:e], rt[s:e], fs[s:e], leaves[f:g])
-        for s, e, f, g in zip(starts.tolist(), (starts + spans).tolist(), leaf_starts.tolist(),
-                              (leaf_starts + sizes).tolist())
-    ]
+    return GreedyTree(metric, c, r, n, rt, fs, leaves)

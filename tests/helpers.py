@@ -281,7 +281,7 @@ def reference_grt_query(struct, coords, radii, epsilon, leaf_size=1):
             points.update(reference_points(t, nodes))
             return
         for v in nodes:
-            walk(s.aux[v], level + 1)
+            walk(s.aux_of(v), level + 1)
 
     walk(struct, 0)
     stats = (agg["width"], agg["height"], agg["splits"], tuple(agg["evals"]), len(points))
@@ -308,13 +308,13 @@ def probed_product_search(t, query, expected, leaf_size):
     expected = list(expected)
 
     def probe(out, buckets, frontier):
-        covered = reference_points(t, out[0] + buckets[0] + [entry[1] for entry in frontier])
+        covered = reference_points(t, out + buckets + [entry[0] for entry in frontier])
         lost = [p for p in expected if p not in covered]
         if lost:
             raise AssertionError(f"exact answer points {lost} dropped from output + buckets + frontier")
 
-    (nodes,), hits, stats = _frontier_search(
-        [t], t.metric.factors, query.coords, query.radii, query.epsilon,
+    nodes, hits, stats = _frontier_search(
+        t, [0], t.metric.factors, query.coords, query.radii, query.epsilon,
         leaf_size=leaf_size, probe=probe,
     )
     return reference_points(t, nodes) | {int(p) for p in hits}, stats
@@ -333,10 +333,10 @@ def bucket_log(monkeypatch, module):
         found = [0]
 
         def probe(out, buckets, frontier):
-            found[0] = sum(len(b) for b in buckets)
+            found[0] = len(buckets)
 
         out, hits, stats = original(*args, probe=probe, **kwargs)
-        scan = kwargs.get("scan") or args[1]
+        scan = kwargs.get("scan") or args[2]
         log.append((len(scan), found[0], stats.splits, stats.dist_evals))
         return out, hits, stats
 

@@ -166,7 +166,8 @@ def _flatten(struct):
     """Every tree of a cascade, level by level, as plain columns."""
     if isinstance(struct, GreedyTree):
         return helpers.tree_columns(struct)
-    return (helpers.tree_columns(struct.primary), [_flatten(sub) for sub in struct.aux], struct.factors)
+    subs = [_flatten(struct.aux_of(v)) for v in struct.primary.nodes()]
+    return (helpers.tree_columns(struct.primary), subs, struct.factors)
 
 
 @pytest.mark.parametrize("m,n", [(2, 30), (3, 14)])
@@ -221,6 +222,14 @@ def test_from_obj_validation():
     levels = grt_to_obj(grt)
     levels[1] = {name: np.concatenate([col, col[-1:]]) for name, col in levels[1].items()}
     with pytest.raises(InputError):
+        grt_from_obj(levels, spaces, 8)
+    # the one-point aux of a primary leaf holds the next id in place of its
+    # own: each forest is well formed, only the levels disagree
+    levels = grt_to_obj(grt)
+    leaf = grt.primary.right.index(-1)
+    root = grt.roots[0][leaf]
+    levels[1]["center"][root] = (levels[1]["center"][root] + 1) % 8
+    with pytest.raises(InputError, match="not those of its node"):
         grt_from_obj(levels, spaces, 8)
 
 

@@ -379,10 +379,20 @@ def _duplicate_leaf(header, cols):
     center[r] = center[0]
 
 
+def _aux_next_id(header, cols):
+    # the one-point auxiliary of a primary leaf holds the next point id in
+    # place of its own; every forest on its own is still well formed
+    count = cols["level0/count"].astype(np.int64)
+    leaf = int(np.flatnonzero(count == 1)[0])
+    center = cols["level1/center"]
+    root = int((2 * count[:leaf] - 1).sum())
+    center[root] = (center[root] + 1) % header["n"]
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [_drop_factors, _far_center, _nan_radius, _nan_aux_radius, _coords_not_columns, _tree_missing,
-     _unknown_column, _duplicate_leaf],
+     _unknown_column, _duplicate_leaf, _aux_next_id],
 )
 def test_corrupt_index_exits_2(workspace, capsys, tmp_path, corrupt):
     header, cols = read_index(_build_grt(workspace, capsys))

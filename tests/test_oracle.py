@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 import helpers
@@ -24,6 +25,20 @@ def test_desk_values():
     assert got == {2}
     got = exact_product_range([xs], (4.0,), (10.0,), [0, 1, 2, 3])
     assert got == {0, 1, 2, 3}
+
+
+def test_every_kind_of_id_input_gives_the_same_set():
+    n = 30
+    xs = AbsDiffMetric("x", [float(i % 7) for i in range(n)])
+    ys = AbsDiffMetric("y", [float(i % 4) for i in range(n)])
+    ids = list(range(3, n))
+    want = exact_product_range([xs, ys], (3.0, 1.0), (2.0, 1.0), ids)
+    assert want and len(want) < len(ids)
+    inputs = [np.array(ids), ids, set(ids), (i for i in ids), [np.int64(i) for i in ids], range(3, n)]
+    for points in inputs:
+        assert exact_product_range([xs, ys], (3.0, 1.0), (2.0, 1.0), points) == want
+    for empty in ([], np.empty(0, dtype=np.intp), iter(())):
+        assert exact_product_range([xs, ys], (3.0, 1.0), (2.0, 1.0), empty) == set()
 
 
 def test_zero_radius_picks_up_duplicates():

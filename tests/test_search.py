@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 import greedyrange
@@ -28,6 +29,8 @@ from greedyrange import (
     range_report,
     sandwich_check,
     synth_dataset,
+    tree_from_obj,
+    tree_to_obj,
 )
 from greedyrange.search import LEAF_SIZE, _frontier_search
 from greedyrange.tree import subtree_points
@@ -241,7 +244,7 @@ def assert_matches_reference(t, factors, coords, radii, eps, leaf_size=1):
     want_nodes, want_hits, want_stats = helpers.reference_heap_search(
         t, factors, coords, radii, eps, leaf_size=leaf_size
     )
-    (nodes,), hits, stats = _frontier_search([t], factors, coords, radii, eps, leaf_size=leaf_size)
+    nodes, hits, stats = _frontier_search(t, [0], factors, coords, radii, eps, leaf_size=leaf_size)
     assert sorted(nodes) == sorted(want_nodes)
     assert set(hits.tolist()) == want_hits and len(hits) == len(want_hits)
     assert (stats.width, stats.height, stats.splits, stats.dist_evals, stats.output_size) == want_stats
@@ -338,6 +341,50 @@ def test_coverage_probe_raises_under_optimize_flag():
     assert proc.returncode == 3, proc.stderr
 
 
+@pytest.mark.parametrize("leaf_size", [1, 8])
+@pytest.mark.parametrize("eps", [0.0, 0.5, 4.0])
+def test_forest_search_equals_one_search_per_root(eps, leaf_size):
+    # One search from several roots of a forest must report, scan and
+    # count exactly as one search per tree: width and height are maxima,
+    # splits and evaluations sums.  On an integer grid the trees' queued
+    # nodes tie on radius, so one heap across the roots, or a width summed
+    # over them, would read differently.
+    rng = random.Random(7 + int(eps * 10) + leaf_size)
+    n = 200
+    values = [float(rng.randrange(12)) for _ in range(n)]
+    vecs = [[float(rng.randrange(12)), float(rng.randrange(12))] for _ in range(n)]
+    factors = [AbsDiffMetric("x", values), MinkowskiMetric("v", vecs, p=2)]
+    pm = ProductMetric(factors)
+    trees = [build_greedy_tree(greedy_permutation(rng.sample(range(n), 60), pm), pm) for _ in range(5)]
+    obj = {k: np.concatenate([tree_to_obj(t)[k] for t in trees]) for k in tree_to_obj(trees[0])}
+    forest = tree_from_obj(obj, pm, [t.n for t in trees])
+    offsets = np.cumsum([0] + [len(t.center) for t in trees]).tolist()
+    searched = [0, 2, 3, 4]  # tree 1 is never searched
+    several = 0
+    for _ in range(25):
+        coords = (float(rng.randrange(12)), [float(rng.randrange(12)), float(rng.randrange(12))])
+        radii = (rng.uniform(1.0, 4.0), rng.uniform(1.0, 4.0))
+        nodes, hits, stats = _frontier_search(
+            forest, [offsets[k] for k in searched], factors, coords, radii, eps, leaf_size=leaf_size
+        )
+        want_nodes, want_hits, singles = [], [], []
+        for k in searched:
+            one, one_hits, one_stats = _frontier_search(trees[k], [0], factors, coords, radii, eps,
+                                                        leaf_size=leaf_size)
+            want_nodes += [v + offsets[k] for v in one]
+            want_hits += one_hits.tolist()
+            singles.append(one_stats)
+        assert sorted(nodes) == sorted(want_nodes)
+        assert sorted(hits.tolist()) == sorted(want_hits)
+        assert stats.width == max(st.width for st in singles)
+        assert stats.height == max(st.height for st in singles)
+        assert stats.splits == sum(st.splits for st in singles)
+        assert stats.dist_evals == tuple(map(sum, zip(*(st.dist_evals for st in singles))))
+        assert stats.output_size == sum(st.output_size for st in singles)
+        several += sum(st.width for st in singles) > stats.width
+    assert several  # some queries search more than one tree
+
+
 # ---------------------------------------------------------------------------
 # Buckets against the oracle.  The trees hold several times LEAF_SIZE
 # points, so nodes split before they bucket.
@@ -386,7 +433,7 @@ def test_bucket_scan_tests_at_r(eps):
     for _ in range(20):
         coords = (rng.uniform(0, 10), [rng.uniform(0, 10), rng.uniform(0, 10)])
         radii = (rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0))
-        (nodes,), hits, stats = _frontier_search([t], factors, coords, radii, eps, leaf_size=n)
+        nodes, hits, stats = _frontier_search(t, [0], factors, coords, radii, eps, leaf_size=n)
         if nodes or not stats.width:
             continue  # the root was reported whole or pruned
         scanned += 1

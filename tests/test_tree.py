@@ -23,6 +23,7 @@ from greedyrange import (
     tree_to_obj,
     verify_greedy_tree,
 )
+from greedyrange.tree import subtree_points
 
 
 def line_metric(values):
@@ -169,7 +170,6 @@ def test_radii_are_exact_subtree_maxima():
     values = [rng.uniform(0, 30) for _ in range(n)]
     m = line_metric(values)
     t = build_greedy_tree(greedy_permutation(list(range(n)), m), m)
-    from greedyrange.tree import subtree_points
 
     for v in t.nodes():
         want = max(abs(values[t.center[v]] - values[p]) for p in subtree_points(t, v).tolist())
@@ -345,10 +345,10 @@ def test_roundtrip_is_bit_exact():
     values = [rng.uniform(0, 1) for _ in range(33)]
     m = line_metric(values)
     t = build_greedy_tree(greedy_permutation(list(range(33)), m), m)
-    obj = tree_to_obj([t])
+    obj = tree_to_obj(t)
     assert {k: v.dtype.str for k, v in obj.items()} == {"radius": "<f8", "count": "<i4", "center": "<i4"}
-    (t2,) = tree_from_obj(obj, m, [33])
-    assert _same_obj(tree_to_obj([t2]), obj)
+    t2 = tree_from_obj(obj, m, [33])
+    assert _same_obj(tree_to_obj(t2), obj)
     assert helpers.tree_columns(t2) == helpers.tree_columns(t)
     assert t2.radius == t.radius  # equality, not approx
     assert verify_greedy_tree(t2, m).ok
@@ -357,24 +357,34 @@ def test_roundtrip_is_bit_exact():
 def test_roundtrip_survives_raw_bytes():
     m = line_metric([0.1, 0.7, 1.0 / 3.0])
     t = build_greedy_tree(greedy_permutation([0, 1, 2], m), m)
-    obj = {k: np.frombuffer(v.tobytes(), dtype=v.dtype) for k, v in tree_to_obj([t]).items()}
-    (t2,) = tree_from_obj(obj, m, [3])
+    obj = {k: np.frombuffer(v.tobytes(), dtype=v.dtype) for k, v in tree_to_obj(t).items()}
+    t2 = tree_from_obj(obj, m, [3])
     assert helpers.tree_columns(t2) == helpers.tree_columns(t)
 
 
-def test_forest_roundtrip_splits_trees_apart():
+def test_forest_roundtrip_indexes_the_whole_forest():
     m = line_metric([0.0, 1.0, 5.0, 9.0, 2.5, 7.0])
-    trees = [build_greedy_tree(greedy_permutation(ids, m), m) for ids in ([0, 1, 2], [3], [4, 5, 0, 1])]
-    back = tree_from_obj(tree_to_obj(trees), m, [3, 1, 4])
-    assert [helpers.tree_columns(t) for t in back] == [helpers.tree_columns(t) for t in trees]
     # one point id may sit in several trees of a forest, never twice in one
-    assert all(verify_greedy_tree(t).ok for t in back)
+    trees = [build_greedy_tree(greedy_permutation(ids, m), m) for ids in ([0, 1, 2], [3], [4, 5, 0, 1])]
+    obj = {k: np.concatenate([tree_to_obj(t)[k] for t in trees]) for k in tree_to_obj(trees[0])}
+    forest = tree_from_obj(obj, m, [3, 1, 4])
+    assert _same_obj(tree_to_obj(forest), obj)
+    # right and first index the whole forest: each tree's links shift by
+    # the nodes and leaves of the trees before it
+    right, first, root, leaf = [], [], 0, 0
+    for t in trees:
+        right += [r + root if r >= 0 else r for r in t.right]
+        first += [f + leaf for f in t.first]
+        assert subtree_points(forest, root).tolist() == t.leaves.tolist()
+        root, leaf = root + len(t.center), leaf + t.n
+    assert (forest.right, forest.first) == (right, first)
+    assert forest.leaves.tolist() == [p for t in trees for p in t.leaves.tolist()]
 
 
 def test_from_obj_rejects_malformed_input():
     m = line_metric([0.0, 1.0])
     t = build_greedy_tree(greedy_permutation([0, 1], m), m)
-    good = tree_to_obj([t])
+    good = tree_to_obj(t)
     tree_from_obj(good, m, [2])
 
     with pytest.raises(InputError):
@@ -457,7 +467,7 @@ def _corrupt_duplicate_leaf(obj):
 )
 def test_from_obj_rejects_corrupt_nodes(corrupt):
     t = _fresh_tree(n=12)
-    obj = tree_to_obj([t])
+    obj = tree_to_obj(t)
     tree_from_obj(copy.deepcopy(obj), t.metric, [12])  # the intact columns decode
     corrupt(obj)
     with pytest.raises(InputError):
