@@ -11,10 +11,11 @@ children's.  The trees' columns go into the level's arrays at their
 roots, and the same ``tree_from_obj`` that loads an index decodes them,
 so a built cascade equals a loaded one by construction.
 
-A query peels one factor per level: a range cover on level 0, then one
-frontier search per deeper level from the roots of the trees of the nodes
-reported above.  Small subtrees that search finds are scanned exactly on
-every remaining factor at once, so their points skip the deeper levels.
+A query peels one factor per level through ``search.level_search``, the
+same loop that searches a product tree as a cascade of one level: one
+frontier search per level from the roots of the trees of the nodes
+reported above.  Small subtrees below the top level are scanned exactly
+on every remaining factor at once, so their points skip the deeper levels.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from typing import Sequence
 
 import numpy as np
 
-from . import search
 from .errors import InputError
 from .metrics import MetricSpace
-from .search import ProductQuery, SearchStats, _frontier_search, _points, range_cover, range_report
+from .search import ProductQuery, SearchStats, level_search
+from .search import range_cover, range_report  # noqa: F401  (unused; bench/tracer.py wraps them here)
 from .tree import FOREST_DTYPES, GreedyTree, build_greedy_tree, greedy_permutation, merge, tree_from_obj, tree_to_obj
 
 __all__ = [
@@ -133,42 +134,13 @@ def build_grt(
 
 
 def grt_query(struct: GreedyRangeTree | GreedyTree, query: ProductQuery) -> tuple[set[int], SearchStats]:
-    """Answer a product query level by level.
+    """Answer a product query level by level (``search.level_search``).
 
     Same sandwich contract as the single-tree search, with the same eps
-    applied at every level.  Level 0 is a range cover (or report); each
-    deeper level is one frontier search from the roots of the trees of
-    every node reported above.  A bucket found at level i >= 1 is
-    scanned exactly on factors i..m-1, and its points skip the deeper
-    levels.  Width and height are maxima over the levels; splits and
-    per-factor evaluations add up.
+    applied at every level.  The top level of a cascade of two or more
+    levels makes no buckets.
     """
-    m, declared = len(query.radii), len(levels_of(struct))
-    if m != declared:
-        raise InputError(f"query has {m} radii but the structure has {declared} factors")
-    coords, radii, eps = query.coords, query.radii, query.epsilon
-    if isinstance(struct, GreedyTree):
-        return range_report(struct, coords[0], radii[0], eps)
-
-    cover, stats = range_cover(struct.primary, coords[0], radii[0], eps)
-    width, height, splits = stats.width, stats.height, stats.splits
-    evals = [stats.dist_evals[0]] + [0] * (m - 1)
-    nodes = cover.nodes
-    points: set[int] = set()
-    for i in range(1, m):
-        t, roots = struct.levels[i], struct.roots[i - 1]
-        scan = list(zip(struct.factors[i:], coords[i:], radii[i:]))
-        nodes, hits, stats = _frontier_search(
-            t, [roots[v] for v in nodes], [struct.factors[i]], [coords[i]], [radii[i]], eps,
-            leaf_size=search.LEAF_SIZE, scan=scan,
-        )
-        width, height = max(width, stats.width), max(height, stats.height)
-        splits += stats.splits
-        for j, count in enumerate(stats.dist_evals, start=i):
-            evals[j] += count
-        points.update(hits.tolist())
-    points |= _points(t, nodes)
-    return points, SearchStats(width, height, splits, tuple(evals), len(points))
+    return level_search(levels_of(struct), struct.roots if isinstance(struct, GreedyRangeTree) else [], query)
 
 
 def aux_leaf_totals(struct: GreedyRangeTree | GreedyTree) -> dict[int, int]:

@@ -39,10 +39,11 @@ from .dataset import (
 )
 from .datagen import GENERATORS, calibrated_queries, synth_dataset
 from .errors import ConfigurationError, InputError
-from .metrics import dataset_summary
+from .metrics import MetricSpace, ProductMetric, dataset_summary
 from .oracle import exact_product_range, sandwich_check
-from .search import ProductQuery, SearchStats, product_range_query
-from .tree import FOREST_DTYPES, GreedyTree, build_greedy_tree, greedy_permutation
+from .search import ProductQuery, SearchStats
+from .tree import FOREST_DTYPES, GreedyTree
+from .tree import build_greedy_tree, greedy_permutation  # noqa: F401  (unused; bench/tracer.py wraps them here)
 from .tree import tree_from_obj, tree_to_obj  # noqa: F401  (unused; bench/tracer.py wraps them here)
 
 INDEX_FORMAT = "greedyrange-index"
@@ -59,14 +60,17 @@ def _print_report(obj: Any) -> None:
 # ---------------------------------------------------------------------------
 
 
-def build_structure(dataset: Dataset, structure: str, *, seed: int | str = "first"):
+def _level_spaces(dataset: Dataset, structure: str) -> list[MetricSpace | ProductMetric]:
+    """The metric of each cascade level: a product tree is one level over all factors."""
     if structure == "product-tree":
-        pm = dataset.product()
-        ids = dataset.ids().tolist()
-        return build_greedy_tree(greedy_permutation(ids, pm, seed=seed), pm)
+        return [dataset.product()]
     if structure == "grt":
-        return build_grt(dataset.ids().tolist(), dataset.spaces(), seed=seed)
+        return dataset.spaces()
     raise InputError(f"unknown structure {structure!r}; expected one of {STRUCTURES}")
+
+
+def build_structure(dataset: Dataset, structure: str, *, seed: int | str = "first"):
+    return build_grt(dataset.ids().tolist(), _level_spaces(dataset, structure), seed=seed)
 
 
 def _header_line(header: dict[str, Any]) -> bytes:
@@ -174,7 +178,7 @@ def load_index(path: str | Path) -> tuple[str, Dataset, Any]:
         raise InputError(f"{path}: malformed coordinate columns: {exc}") from exc
     if dataset.n != n:
         raise InputError(f"{path}: coordinate columns disagree with n={n!r}")
-    spaces = [dataset.product()] if structure == "product-tree" else dataset.spaces()
+    spaces = _level_spaces(dataset, structure)
     levels = [
         {name: column(f"level{k}/{name}", dtype) for name, dtype in FOREST_DTYPES.items()}
         for k in range(len(spaces))
@@ -226,8 +230,6 @@ def _resolve_queries(workload: Sequence[WorkloadQuery], default_eps: float | Non
 
 
 def _run_one(struct: Any, structure: str, query: ProductQuery) -> tuple[set[int], SearchStats]:
-    if structure == "product-tree":
-        return product_range_query(struct, query)
     return grt_query(struct, query)
 
 

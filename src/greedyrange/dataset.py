@@ -214,9 +214,12 @@ class WorkloadQuery:
 
 
 def _read_json_lines(path: str | Path) -> Iterable[tuple[int, Any]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise InputError(f"{path}:{lineno}: invalid UTF-8: {exc.reason}") from exc
             if not line:
                 continue
             try:
@@ -231,6 +234,8 @@ def load_factor_specs(path: str | Path) -> list[FactorSpec]:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: invalid UTF-8: {exc.reason}") from exc
     if not isinstance(raw, list):
         raise ConfigurationError(f"{path}: factor config must be a JSON array")
     specs = []
@@ -309,10 +314,18 @@ def write_results(path: str | Path, rows: Iterable[dict[str, Any]]) -> None:
             fh.write(json.dumps(row, separators=(",", ":")) + "\n")
 
 
+def _is_int(x: Any) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def load_results(path: str | Path) -> list[dict[str, Any]]:
     rows = []
     for lineno, obj in _read_json_lines(path):
         if not isinstance(obj, dict) or "query_index" not in obj or "points" not in obj:
             raise InputError(f"{path}:{lineno}: each result needs 'query_index' and 'points'")
+        if not _is_int(obj["query_index"]) or obj["query_index"] < 0:
+            raise InputError(f"{path}:{lineno}: 'query_index' must be a nonnegative integer")
+        if not isinstance(obj["points"], list) or not all(map(_is_int, obj["points"])):
+            raise InputError(f"{path}:{lineno}: 'points' must list integer point ids")
         rows.append(obj)
     return rows

@@ -25,6 +25,13 @@ one (the bucket size of k-d trees, the ``leaf_size`` of ball trees).
 With a bound of 1 there are no buckets, since leaves have radius 0 and
 always sit below the cutoff.
 
+Both index structures are searched by one loop over cascade levels
+(``level_search``).  Level k is one frontier search over its own factor
+group, from the roots of the trees of the nodes reported at level k-1;
+a product tree is a cascade of one level over all of its factors.  A
+bucket is scanned on its group's factors and every later one.  The top
+level of a cascade of two or more levels keeps a bound of 1.
+
 The halved cutoff is load-bearing: an entered node only promises its
 points within ``r_i + 2 * radius`` per factor, so reporting at
 ``eps * min(r_i)`` can leak points past the ``(1+eps)`` expansion
@@ -65,20 +72,27 @@ __all__ = [
     "ProductQuery",
     "SearchStats",
     "NodeCover",
+    "level_search",
     "product_range_query",
     "range_cover",
     "range_report",
 ]
 
-# The bucket bound of the product-tree search and of the cascade's levels
-# after the first.  Scans of up to this many points per bucket cost less
+# The bucket bound of every search level but the top of a cascade of two
+# or more levels.  Scans of up to this many points per bucket cost less
 # than the node visits they replace; CHANGES.md records the measurement.
 LEAF_SIZE = 128
 
 
 @dataclass(frozen=True)
 class ProductQuery:
-    """A query point with one coordinate payload and radius per factor."""
+    """A query point with one coordinate payload and radius per factor.
+
+    Every radius must be finite and greater than 0, so a query ball is
+    never a single point; ``oracle.exact_product_range`` alone also takes
+    r = 0, as a reference for exact duplicates.  Epsilon must be finite
+    and at least 0.
+    """
 
     coords: tuple[Any, ...]
     radii: tuple[float, ...]
@@ -298,25 +312,55 @@ def _points(t: GreedyTree, nodes: Iterable[int]) -> set[int]:
     return points
 
 
+def level_search(
+    levels: Sequence[GreedyTree], roots: Sequence[Sequence[int]], query: ProductQuery
+) -> tuple[set[int], SearchStats]:
+    """Answer ``query`` on a cascade of forests, one frontier search per level.
+
+    Level k searches its factor group (a product level's factors, else
+    its one metric) from the roots, in ``roots[k-1]``, of the trees of the
+    nodes reported at level k-1.  Subtrees of at most ``LEAF_SIZE``
+    points are buckets, except on the top level of a cascade of two or
+    more levels.  A bucket is scanned on its group's and every later
+    factor, and its points skip the deeper levels.  Width and height are
+    maxima over the levels; splits and evaluations add up.
+    """
+    groups = [t.metric.factors if isinstance(t.metric, ProductMetric) else [t.metric] for t in levels]
+    factors = [f for group in groups for f in group]
+    coords, radii, eps = query.coords, query.radii, query.epsilon
+    if len(radii) != len(factors):
+        raise InputError(f"query has {len(radii)} radii but the structure has {len(factors)} factors")
+    width = height = splits = i = 0
+    evals = [0] * len(factors)
+    points: set[int] = set()
+    nodes = [0] if levels[0].n else []
+    for k, (t, group) in enumerate(zip(levels, groups)):
+        j = i + len(group)
+        nodes, hits, stats = _frontier_search(
+            t, [roots[k - 1][v] for v in nodes] if k else nodes, group, coords[i:j], radii[i:j], eps,
+            leaf_size=1 if k == 0 < len(levels) - 1 else LEAF_SIZE,
+            scan=list(zip(factors[i:], coords[i:], radii[i:])),
+        )
+        width, height, splits = max(width, stats.width), max(height, stats.height), splits + stats.splits
+        for e, count in enumerate(stats.dist_evals, start=i):
+            evals[e] += count
+        points.update(hits.tolist())
+        i = j
+    points |= _points(t, nodes)
+    return points, SearchStats(width, height, splits, tuple(evals), len(points))
+
+
 def product_range_query(t: GreedyTree, query: ProductQuery) -> tuple[set[int], SearchStats]:
     """Report points within the query radii, factor by factor.
 
-    The tree must be built over the product of the query's factors.
-    Output is sandwiched between the exact answer and the answer at
-    radii scaled by (1+eps).  Subtrees of at most ``LEAF_SIZE`` points
-    are scanned exactly instead of split.
+    The tree must be built over the product of the query's factors; it
+    is searched as a cascade of one level.  Output is sandwiched between
+    the exact answer and the answer at radii scaled by (1+eps).  Subtrees
+    of at most ``LEAF_SIZE`` points are scanned exactly instead of split.
     """
-    metric = t.metric
-    if not isinstance(metric, ProductMetric):
+    if not isinstance(t.metric, ProductMetric):
         raise InputError("product_range_query needs a tree over a product metric")
-    if len(query.radii) != metric.m:
-        raise InputError(f"query has {len(query.radii)} radii but the tree has {metric.m} factors")
-    nodes, hits, stats = _frontier_search(
-        t, [0] if t.n else [], metric.factors, query.coords, query.radii, query.epsilon, leaf_size=LEAF_SIZE
-    )
-    points = _points(t, nodes)
-    points.update(hits.tolist())
-    return points, stats
+    return level_search([t], [], query)
 
 
 def range_cover(

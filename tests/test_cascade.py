@@ -26,7 +26,7 @@ from greedyrange import (
     synth_dataset,
     verify_greedy_tree,
 )
-from greedyrange import cascade, search
+from greedyrange import search
 from greedyrange.cli import build_structure
 from greedyrange.tree import subtree_points
 
@@ -270,7 +270,7 @@ def bucket_cascade(m, n):
 def test_buckets_match_oracle(m, n, eps, monkeypatch):
     ds, grt = bucket_cascade(m, n)
     spaces = ds.spaces()
-    log = helpers.bucket_log(monkeypatch, cascade)
+    log = helpers.bucket_log(monkeypatch, search)
     rng = random.Random(10 * m + int(eps * 10))
     for _ in range(12):
         coords = ds.payloads(rng.randrange(n))

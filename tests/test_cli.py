@@ -247,6 +247,46 @@ def test_malformed_inputs_exit_2(workspace, capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("points", 5), ("points", [[1]]), ("points", [True]), ("points", [1.0]),
+     ("query_index", [0]), ("query_index", True), ("query_index", -1), ("query_index", "0")],
+)
+def test_malformed_results_rows_exit_2(workspace, capsys, tmp_path, field, value):
+    idx, res = tmp_path / "i.idx", tmp_path / "r.jsonl"
+    run(capsys, "build", "--dataset", str(workspace / "d.jsonl"),
+        "--factors", str(workspace / "f.json"), "--out", str(idx))
+    run(capsys, "query", "--index", str(idx), "--workload", str(workspace / "w.jsonl"), "--out", str(res))
+    rows = [json.loads(line) for line in res.read_text().splitlines()]
+    rows[1][field] = value
+    res.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    code, _, err = run(capsys, "verify", "--dataset", str(workspace / "d.jsonl"),
+                       "--factors", str(workspace / "f.json"), "--workload", str(workspace / "w.jsonl"),
+                       "--results", str(res))
+    assert code == 2 and f"{res}:2: '{field}' must" in err
+
+
+@pytest.mark.parametrize("name", ["f.json", "d.jsonl", "w.jsonl", "r.jsonl"])
+def test_invalid_utf8_exits_2(workspace, capsys, name):
+    d, f, w = (str(workspace / n) for n in ("d.jsonl", "f.json", "w.jsonl"))
+    idx, res = workspace / "i.idx", workspace / "r.jsonl"
+    run(capsys, "build", "--dataset", d, "--factors", f, "--out", str(idx))
+    run(capsys, "query", "--index", str(idx), "--workload", w, "--out", str(res))
+    path = workspace / name
+    good = path.read_bytes()
+    # an invalid first byte, or a lone continuation byte inside the first line
+    path.write_bytes(b"\xff" + good if name == "f.json" else good[:5] + b"\x80" + good[5:])
+    # verify reads all four files; build and query read theirs
+    commands = [["verify", "--dataset", d, "--factors", f, "--workload", w, "--results", str(res)]]
+    if name in ("f.json", "d.jsonl"):
+        commands.append(["build", "--dataset", d, "--factors", f, "--out", str(workspace / "x.idx")])
+    if name == "w.jsonl":
+        commands.append(["query", "--index", str(idx), "--workload", w, "--out", str(workspace / "r2.jsonl")])
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "invalid UTF-8" in err, argv
+
+
 def test_single_factor_structures_serialize_identically(tmp_path, capsys):
     code, _, _ = run(
         capsys, "gen",
@@ -255,6 +295,7 @@ def test_single_factor_structures_serialize_identically(tmp_path, capsys):
         "--seed", "2",
         "--dataset-out", str(tmp_path / "d.jsonl"),
         "--factors-out", str(tmp_path / "f.json"),
+        "--workload-out", str(tmp_path / "w.jsonl"),
     )
     assert code == 0
     files = {}
@@ -268,12 +309,18 @@ def test_single_factor_structures_serialize_identically(tmp_path, capsys):
             "--out", str(idx),
         )
         assert code == 0
+        res = tmp_path / f"{structure}.res"
+        code, _, _ = run(capsys, "query", "--index", str(idx), "--workload", str(tmp_path / "w.jsonl"),
+                         "--out", str(res))
+        assert code == 0
         header, _ = read_index(idx)
-        files[structure] = header, idx.read_bytes().partition(b"\n")[2]
-    # with one factor the cascade *is* the plain tree, byte for byte
-    (ptree, ptree_payload), (grt, grt_payload) = files["product-tree"], files["grt"]
+        files[structure] = header, idx.read_bytes().partition(b"\n")[2], res.read_bytes()
+    # with one factor the cascade *is* the plain tree, byte for byte, and
+    # the one search path answers both alike, stats included
+    (ptree, ptree_payload, ptree_res), (grt, grt_payload, grt_res) = files["product-tree"], files["grt"]
     assert ptree_payload == grt_payload
     assert ptree["columns"] == grt["columns"]
+    assert ptree_res == grt_res
 
 
 def _build_grt(workspace, capsys):
@@ -450,6 +497,29 @@ def test_mutated_index_exits_2_or_answers_identically(fuzz_indexes, structure, d
     assert code == 2 or (code == 0 and res.read_bytes() == (work / f"{structure}.res").read_bytes())
 
 
+@pytest.mark.parametrize("structure", ["product-tree", "grt"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_workload_exits_2_or_verifies(fuzz_indexes, structure, data):
+    # One to three bytes of the workload flipped: the query either exits 2
+    # or answers the mutated workload, as verify checks, never crashes.
+    work = fuzz_indexes
+    bad = bytearray((work / "w.jsonl").read_bytes())
+    for _ in range(data.draw(st.integers(1, 3), label="flips")):
+        pos = data.draw(st.integers(0, len(bad) - 1), label="position")
+        bad[pos] ^= data.draw(st.integers(1, 255), label="xor")
+    w, res = work / f"{structure}-bad-w.jsonl", work / f"{structure}-bad-w.res"
+    w.write_bytes(bytes(bad))
+    res.unlink(missing_ok=True)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["query", "--index", str(work / f"{structure}.idx"), "--workload", str(w), "--out", str(res)])
+        if code == 0:
+            code = main(["verify", "--dataset", str(work / "d.jsonl"), "--factors", str(work / "f.json"),
+                         "--workload", str(w), "--results", str(res)])
+    assert code in (0, 2)
+    assert code == 0 or not res.exists()
+
+
 def test_closed_pipe_exits_141_without_traceback(workspace, capsys, monkeypatch):
     idx = _build_grt(workspace, capsys)
     read_end, write_end = os.pipe()
@@ -478,14 +548,21 @@ def test_non_finite_inputs_exit_2(workspace, capsys, tmp_path):
     idx = tmp_path / "ok.idx"
     run(capsys, "build", "--dataset", str(workspace / "d.jsonl"),
         "--factors", str(workspace / "f.json"), "--out", str(idx))
-    query = json.loads((workspace / "w.jsonl").read_text().splitlines()[0])
-    query["radii"][0] = float("nan")
-    w = tmp_path / "nan-w.jsonl"
-    w.write_text(json.dumps(query) + "\n")
-    res = tmp_path / "r.jsonl"
-    code, _, err = run(capsys, "query", "--index", str(idx), "--workload", str(w), "--out", str(res))
-    assert code == 2 and "radii" in err
-    assert not res.exists()
+    # radii must be finite and greater than 0, in query and in verify alike
+    for radius in (float("nan"), 0.0, -1.0):
+        query = json.loads((workspace / "w.jsonl").read_text().splitlines()[0])
+        query["radii"][0] = radius
+        w = tmp_path / "bad-w.jsonl"
+        w.write_text(json.dumps(query) + "\n")
+        res = tmp_path / "r.jsonl"
+        code, _, err = run(capsys, "query", "--index", str(idx), "--workload", str(w), "--out", str(res))
+        assert code == 2 and "radii" in err
+        assert not res.exists()
+        res.write_text(json.dumps({"query_index": 0, "points": []}) + "\n")
+        code, _, err = run(capsys, "verify", "--dataset", str(workspace / "d.jsonl"),
+                           "--factors", str(workspace / "f.json"), "--workload", str(w), "--results", str(res))
+        assert code == 2 and "radii" in err
+        res.unlink()
 
 
 def test_bench_csv_shape(tmp_path, capsys):
