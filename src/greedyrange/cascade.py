@@ -5,9 +5,12 @@ ch. 5).  An index file stores the same forests.
 Level 0 is a greedy tree over the dataset on the first factor.  Level
 k + 1 holds, for every node of level k in preorder, a tree over exactly
 that node's points; node v's tree starts at the exclusive cumulative sum
-of ``2*count - 1`` over the nodes before v.  A level is built bottom-up:
-a leaf's tree is its one point, an internal node's is ``merge`` of its
-children's.  The trees' columns go into the level's arrays at their
+of ``2*count - 1`` over the nodes before v.  A leaf's tree is its one
+point, and an internal node's is the tree ``merge`` makes of its
+children's, but a level is built without merging: a bottom-up pass picks
+every tree's seed by ``merge``'s rule, then one lockstep greedy pass
+orders all the trees' points at once and ``build_greedy_tree`` binarizes
+each order.  The trees' columns go into the level's arrays at their
 roots, and the same ``tree_from_obj`` that loads an index decodes them,
 so a built cascade equals a loaded one by construction.
 
@@ -29,7 +32,9 @@ from .errors import InputError
 from .metrics import MetricSpace
 from .search import ProductQuery, SearchStats, level_search
 from .search import range_cover, range_report  # noqa: F401  (unused; bench/tracer.py wraps them here)
-from .tree import FOREST_DTYPES, GreedyTree, build_greedy_tree, greedy_permutation, merge, tree_from_obj, tree_to_obj
+from .tree import FOREST_DTYPES, GreedyTree, build_greedy_tree, greedy_permutation, lockstep_greedy
+from .tree import tree_from_obj, tree_to_obj
+from .tree import merge  # noqa: F401  (unused; bench/tracer.py wraps it here)
 
 __all__ = [
     "GreedyRangeTree",
@@ -90,23 +95,70 @@ def levels_of(struct: GreedyRangeTree | GreedyTree) -> list[GreedyTree]:
     return struct.levels if isinstance(struct, GreedyRangeTree) else [struct]
 
 
-def _build_level(upper: GreedyTree, factor: MetricSpace) -> GreedyTree:
-    """The forest on ``factor`` of one tree per node of ``upper``."""
-    roots = _roots(upper)
-    cols: dict[str, list] = {name: [0] * roots[-1] for name in FOREST_DTYPES}
-    trees: list[GreedyTree | None] = [None] * len(upper.center)
+def _points_of(leaves: np.ndarray, first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The leaf slices ``leaves[first[i]:first[i] + count[i]]``, end to end."""
+    return leaves[np.repeat(first - (np.cumsum(count) - count), count) + np.arange(count.sum())]
+
+
+def _merge_seeds(upper: GreedyTree, factor: MetricSpace) -> np.ndarray:
+    """Per node of ``upper``, the seed ``merge`` gives the tree of its points.
+
+    A leaf's tree is its own point.  An internal node's seed is the child
+    seed of larger eccentricity over both children's points, the smaller
+    id on a tie; the eccentricity of a child's seed over its own points is
+    that child's root radius, so only the ``|pa| + |pb|`` cross pairs that
+    ``merge`` evaluates are evaluated.  Nodes of equal height share one
+    ``dist_pairs`` call.
+    """
+    seed = np.asarray(upper.center, dtype=np.intp)
+    first = np.asarray(upper.first, dtype=np.int64)
+    count = np.asarray(upper.count, dtype=np.int64)
+    right = np.asarray(upper.right, dtype=np.int64)
+    ecc = np.zeros(len(seed))
+    height = [0] * len(seed)
     # Children have larger preorder indices than their parent.
     for v in reversed(upper.nodes()):
-        r = upper.right[v]
-        if r < 0:
-            t = build_greedy_tree(greedy_permutation([upper.center[v]], factor), factor)
-        else:
-            t = merge(trees[v + 1], trees[r])
-            trees[v + 1] = trees[r] = None
-        trees[v] = t
-        for name, col in cols.items():
-            col[roots[v] : roots[v + 1]] = getattr(t, name)
-    obj = {name: np.array(cols[name], dtype) for name, dtype in FOREST_DTYPES.items()}
+        if upper.right[v] >= 0:
+            height[v] = 1 + max(height[v + 1], height[upper.right[v]])
+    height = np.asarray(height)
+    for h in range(1, int(height.max()) + 1):
+        v = np.flatnonzero(height == h)
+        a, b = v + 1, right[v]
+        # v's points are a's then b's: pair a's with b's seed and b's with a's.
+        lens = np.column_stack([count[a], count[b]]).ravel()
+        src = np.repeat(np.column_stack([seed[b], seed[a]]).ravel(), lens)
+        row = factor.dist_pairs(src, _points_of(upper.leaves, first[v], count[v]))
+        far = np.maximum.reduceat(row, np.cumsum(lens) - lens)
+        ecc_a, ecc_b = np.maximum(ecc[a], far[1::2]), np.maximum(ecc[b], far[0::2])
+        seed[v] = np.where(ecc_a > ecc_b, seed[a], np.where(ecc_b > ecc_a, seed[b], np.minimum(seed[a], seed[b])))
+        ecc[v] = np.maximum(ecc_a, ecc_b)
+    return seed
+
+
+def _build_level(upper: GreedyTree, factor: MetricSpace) -> GreedyTree:
+    """The forest on ``factor`` of one tree per node of ``upper``.
+
+    Node by node the trees are those of ``merge`` bottom-up, bit for bit:
+    the seeds come from ``_merge_seeds``, one ``lockstep_greedy`` pass
+    orders every internal node's points at once, and ``build_greedy_tree``
+    binarizes each order.  A leaf's tree is its one point.
+    """
+    roots = _roots(upper)
+    obj = {name: np.zeros(roots[-1], dtype) for name, dtype in FOREST_DTYPES.items()}
+    right = np.asarray(upper.right)
+    leaf, inner = np.flatnonzero(right < 0), np.flatnonzero(right >= 0)
+    at = np.asarray(roots)[leaf]
+    obj["center"][at] = np.asarray(upper.center)[leaf]
+    obj["count"][at] = 1
+    if inner.size:
+        first = np.asarray(upper.first, dtype=np.int64)[inner]
+        count = np.asarray(upper.count, dtype=np.int64)[inner]
+        seeds = _merge_seeds(upper, factor)[inner]
+        orders = lockstep_greedy(_points_of(upper.leaves, first, count), count, seeds, factor)
+        for v, gp in zip(inner.tolist(), orders):
+            t = build_greedy_tree(gp, factor)
+            for name, col in obj.items():
+                col[roots[v] : roots[v + 1]] = getattr(t, name)
     return tree_from_obj(obj, factor, upper.count)
 
 

@@ -285,8 +285,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset, specs)
     workload = load_workload(args.workload, specs)
     queries = _resolve_queries(workload, args.epsilon_default)
-    rows = load_results(args.results)
-    by_index = {row["query_index"]: row for row in rows}
+    by_index: dict[int, dict] = {}
+    for row in load_results(args.results):
+        i = row["query_index"]
+        if i in by_index:
+            raise InputError(f"{args.results}: query_index {i} appears more than once")
+        if i >= len(queries):
+            raise InputError(f"{args.results}: query_index {i} is not a query of the {len(queries)}-query workload")
+        by_index[i] = row
     spaces = dataset.spaces()
     ids = dataset.ids()
     failures = 0

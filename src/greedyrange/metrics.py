@@ -3,9 +3,9 @@
 A metric space wraps one coordinate column of a dataset and exposes
 distances between stored points (by id) and from free query payloads to
 stored points.  Every public distance call increments the space's
-``evals`` count by exactly one per point pair, including bulk calls,
-so instrumentation stays comparable between the brute-force oracle and
-the tree-based indexes.
+``evals`` count by exactly one per point pair, including bulk and paired
+calls, so instrumentation stays comparable between the brute-force
+oracle and the tree-based indexes.
 
 The product of several spaces combines factor distances by max.
 """
@@ -50,7 +50,9 @@ class MetricSpace(ABC):
     Subclasses implement the uncounted kernels ``_pairs`` and ``_point``;
     the public methods validate ids, count evaluations, and always route
     scalar calls through the same kernel as bulk calls so repeated
-    distance computations are bit-identical.
+    distance computations are bit-identical.  ``_zip`` (paired sources)
+    defaults to one ``_pairs`` call per distinct source; a subclass may
+    vectorize it with the same arithmetic.
     """
 
     def __init__(self, name: str, size: int) -> None:
@@ -69,6 +71,15 @@ class MetricSpace(ABC):
     def _point(self, q: Any, ids: np.ndarray) -> np.ndarray:
         """Distances from free payload q to each stored point in ids."""
 
+    def _zip(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Distances from each stored point xs[i] to ys[i]."""
+        out = np.empty(xs.size)
+        if xs.size:
+            order = np.argsort(xs, kind="stable")
+            for pos in np.split(order, np.flatnonzero(np.diff(xs[order])) + 1):
+                out[pos] = self._pairs(int(xs[pos[0]]), ys[pos])
+        return out
+
     def _check_id(self, x: int) -> int:
         x = int(x)
         if not 0 <= x < self._n:
@@ -86,6 +97,15 @@ class MetricSpace(ABC):
         ids = _as_id_array(ids, self._n)
         self.evals += ids.size
         return self._pairs(x, ids)
+
+    def dist_pairs(self, xs: Any, ys: Any) -> np.ndarray:
+        """Distances from xs[i] to ys[i], bit-equal to ``dist_many(xs[i], [ys[i]])``."""
+        xs = _as_id_array(xs, self._n)
+        ys = _as_id_array(ys, self._n)
+        if xs.size != ys.size:
+            raise InputError(f"paired ids differ in length: {xs.size} sources, {ys.size} targets")
+        self.evals += ys.size
+        return self._zip(xs, ys)
 
     # Count after the kernel: it validates the payload q and may reject it.
     def dist_point(self, q: Any, y: int) -> float:
@@ -113,6 +133,9 @@ class AbsDiffMetric(MetricSpace):
 
     def _pairs(self, x: int, ids: np.ndarray) -> np.ndarray:
         return np.abs(self._vals[ids] - self._vals[x])
+
+    def _zip(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        return np.abs(self._vals[ys] - self._vals[xs])
 
     def _point(self, q: Any, ids: np.ndarray) -> np.ndarray:
         try:
@@ -154,6 +177,9 @@ class MinkowskiMetric(MetricSpace):
 
     def _pairs(self, x: int, ids: np.ndarray) -> np.ndarray:
         return self._reduce(self._cols.take(ids, axis=1) - self._cols[:, x, None])
+
+    def _zip(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        return self._reduce(self._cols.take(ys, axis=1) - self._cols.take(xs, axis=1))
 
     def _point(self, q: Any, ids: np.ndarray) -> np.ndarray:
         qv = np.asarray(q, dtype=np.float64)
@@ -211,8 +237,9 @@ class LevenshteinMetric(MetricSpace):
 
     Each call builds the bit-vector pattern of the source string (stored
     point ``x`` or payload ``q``) once and scans every target with it, so a
-    bulk call over k ids costs one pattern and k linear scans.  Nothing is
-    precomputed per stored string.
+    bulk call over k ids costs one pattern and k linear scans; a paired
+    call builds one pattern per distinct source.  Nothing is precomputed
+    per stored string.
     """
 
     def __init__(self, name: str, strings: Sequence[str]) -> None:

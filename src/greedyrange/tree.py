@@ -38,6 +38,7 @@ __all__ = [
     "GreedyTree",
     "VerificationReport",
     "greedy_permutation",
+    "lockstep_greedy",
     "build_greedy_tree",
     "merge",
     "verify_greedy_tree",
@@ -119,6 +120,60 @@ def greedy_permutation(points: Sequence[int], metric: Metric, seed: int | str = 
         alive[chosen] = False
         last = cid
     return GreedyPermutation(order, radii, parents)
+
+
+def lockstep_greedy(
+    points: np.ndarray, sizes: np.ndarray, seeds: np.ndarray, metric: MetricSpace
+) -> list[GreedyPermutation]:
+    """``greedy_permutation`` of many groups at once, with the same ties.
+
+    Group g is the next ``sizes[g]`` distinct ids of ``points``, seeded with
+    its member ``seeds[g]``.  Round t makes one ``dist_pairs`` call from
+    every unfinished group's latest pick to its remaining points; then
+    segmented reductions take each group's farthest point, the smallest
+    id on a tie, as its t-th pick.  Work and distance bits are those of
+    one ``greedy_permutation`` per group, in one Python loop of
+    ``max(sizes) - 1`` rounds.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    seeds = np.asarray(seeds, dtype=np.intp)
+    offs = np.cumsum(sizes) - sizes
+    total = int(sizes.sum())
+    order = np.empty(total, dtype=np.intp)
+    radius = np.empty(total)
+    parent = np.empty(total, dtype=np.intp)
+    order[offs], radius[offs], parent[offs] = seeds, math.inf, -1
+
+    ids = points[points != np.repeat(seeds, sizes)]
+    mind = np.full(ids.size, math.inf)
+    near = np.full(ids.size, -1, dtype=np.intp)
+    last = seeds.copy()
+    none = np.iinfo(np.intp).max
+    for t in range(1, int(sizes.max(initial=1))):
+        # Live groups, each holding its sizes[g] - t remaining points.
+        live = np.flatnonzero(sizes > t)
+        lens = sizes[live] - t
+        starts = np.cumsum(lens) - lens
+        src = np.repeat(last[live], lens)
+        row = metric.dist_pairs(src, ids)
+        better = row < mind
+        take = better | ((row == mind) & (src < near))
+        near[take] = src[take]
+        mind[better] = row[better]
+        best = np.maximum.reduceat(mind, starts)
+        pick = np.minimum.reduceat(np.where(mind == np.repeat(best, lens), ids, none), starts)
+        chosen = ids == np.repeat(pick, lens)
+        at = offs[live] + t
+        order[at], radius[at], parent[at] = pick, best, near[chosen]
+        last[live] = pick
+        keep = ~chosen
+        ids, mind, near = ids[keep], mind[keep], near[keep]
+
+    order_l, radius_l, parent_l = order.tolist(), radius.tolist(), parent.tolist()
+    return [
+        GreedyPermutation(order_l[o : o + k], radius_l[o : o + k], [None] + parent_l[o + 1 : o + k])
+        for o, k in zip(offs.tolist(), sizes.tolist())
+    ]
 
 
 @dataclass(eq=False)

@@ -3,8 +3,9 @@
 Everything here is written the slow, obvious way: plain dicts, explicit
 loops, scalar arithmetic.  No numpy, no shared code with the package.
 The reference searches at the end read the package's tree columns and
-call its scalar ``dist_point``, nothing else.  The probe wrappers at the
-very end are the exception: they drive the package's own search.
+call its scalar ``dist_point``, nothing else.  The exceptions come at the
+very end: the probe wrappers drive the package's own search, and
+``merge_level`` builds a cascade level from the package's ``merge``.
 """
 
 from __future__ import annotations
@@ -342,3 +343,27 @@ def bucket_log(monkeypatch, module):
 
     monkeypatch.setattr(module, "_frontier_search", logged)
     return log
+
+
+# ---------------------------------------------------------------------------
+# Reference level build: a cascade level as ``tree.merge`` defines it.
+# ---------------------------------------------------------------------------
+
+
+def merge_level(upper, factor) -> dict[str, list]:
+    """The forest on ``factor`` of one tree per node of ``upper``, one merge
+    per node: bottom-up, a leaf's tree is its one point and an internal
+    node's is ``merge`` of its children's trees.  Trees are laid end to end
+    in node order.  Returns the stored columns as lists.
+    """
+    from greedyrange.tree import build_greedy_tree, greedy_permutation, merge
+
+    trees = [None] * len(upper.center)
+    # Children have larger preorder indices than their parent.
+    for v in reversed(range(len(upper.center))):
+        r = upper.right[v]
+        if r < 0:
+            trees[v] = build_greedy_tree(greedy_permutation([upper.center[v]], factor), factor)
+        else:
+            trees[v] = merge(trees[v + 1], trees[r])
+    return {name: [x for t in trees for x in getattr(t, name)] for name in ("radius", "count", "center")}

@@ -26,9 +26,9 @@ from greedyrange import (
     synth_dataset,
     verify_greedy_tree,
 )
-from greedyrange import search
+from greedyrange import cascade, search
 from greedyrange.cli import build_structure
-from greedyrange.tree import subtree_points
+from greedyrange.tree import subtree_points, tree_to_obj
 
 
 def small_dataset(m, n, seed=0, layout="uniform"):
@@ -231,6 +231,31 @@ def test_from_obj_validation():
     levels[1]["center"][root] = (levels[1]["center"][root] + 1) % 8
     with pytest.raises(InputError, match="not those of its node"):
         grt_from_obj(levels, spaces, 8)
+
+
+LEVEL_FACTORS = {
+    "m3": [FactorSpec("f0", "l2", dim=2), FactorSpec("f1", "abs1d"), FactorSpec("f2", "l1", dim=3)],
+    "lev": [FactorSpec("f0", "abs1d"), FactorSpec("f1", "levenshtein")],
+}
+
+
+@pytest.mark.parametrize("factors", sorted(LEVEL_FACTORS))
+@pytest.mark.parametrize("layout", ["uniform", "gaussian", "grid"])
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 300])
+def test_level_build_matches_merge_reference(n, layout, factors):
+    # The lockstep level build must give every node the tree that one merge
+    # of its children's trees gives, column for column and evaluation for
+    # evaluation.  Grid layouts and short strings make many distance ties.
+    ds = synth_dataset(LEVEL_FACTORS[factors], n, layout=layout, seed=n)
+    spaces = ds.spaces()
+    grt = build_grt(list(range(n)), spaces)
+    for k, space in enumerate(spaces[1:], start=1):
+        upper = grt.levels[k - 1]
+        space.evals = 0
+        got = {name: col.tolist() for name, col in tree_to_obj(cascade._build_level(upper, space)).items()}
+        got_evals, space.evals = space.evals, 0
+        assert got == helpers.merge_level(upper, space)
+        assert got_evals == space.evals
 
 
 @pytest.mark.parametrize("m,n", [(2, 60), (3, 24)])

@@ -266,6 +266,25 @@ def test_malformed_results_rows_exit_2(workspace, capsys, tmp_path, field, value
     assert code == 2 and f"{res}:2: '{field}' must" in err
 
 
+@pytest.mark.parametrize("case", ["duplicate", "unknown"])
+def test_results_query_index_must_name_one_workload_query(workspace, capsys, tmp_path, case):
+    # A second row for query 0 holding an empty answer must not replace or
+    # shadow the first, and a row for a query the workload lacks must not
+    # be ignored: either way verify cannot vouch for the file.
+    idx, res = tmp_path / "i.idx", tmp_path / "r.jsonl"
+    run(capsys, "build", "--dataset", str(workspace / "d.jsonl"),
+        "--factors", str(workspace / "f.json"), "--out", str(idx))
+    run(capsys, "query", "--index", str(idx), "--workload", str(workspace / "w.jsonl"), "--out", str(res))
+    rows = [json.loads(line) for line in res.read_text().splitlines()]
+    extra = {"query_index": 0 if case == "duplicate" else len(rows), "points": []}
+    res.write_text("".join(json.dumps(r) + "\n" for r in rows + [extra]))
+    code, out, err = run(capsys, "verify", "--dataset", str(workspace / "d.jsonl"),
+                         "--factors", str(workspace / "f.json"), "--workload", str(workspace / "w.jsonl"),
+                         "--results", str(res))
+    assert code == 2 and f"query_index {extra['query_index']}" in err
+    assert "verified" not in out
+
+
 @pytest.mark.parametrize("name", ["f.json", "d.jsonl", "w.jsonl", "r.jsonl"])
 def test_invalid_utf8_exits_2(workspace, capsys, name):
     d, f, w = (str(workspace / n) for n in ("d.jsonl", "f.json", "w.jsonl"))

@@ -26,13 +26,34 @@ CASES = {
         "4604ec94df794161b768d4f5d483f614e99768b00be869d2a12ec52c0b31ca77",
         "aca0c87b470dc2ebab469d4e7a8652a876cf5159bb98e40ff142998a0db5bbe3",
     ),
-    # m = 3: every merge of the middle factor is decorated with merges
-    # of the last, so this pins nested cascades
+    # m = 3: the last factor's forest has one tree per node of the middle
+    # factor's, so this pins a cascade of three levels
     "grt-m3": (
         ["--factors", "l2:2,abs1d,abs1d", "--generator", "gaussian", "--n", "48"],
         "grt",
         "5e242fa63070ec2f802c4130b6e0af6554d9057ca2bf0279aafac1d17826e71e",
         "b7105bde782a27207faed2b19c5c284fbc3d535807b3b4669908aeb319f2195c",
+    ),
+    # The next three pin the paired level-build kernel of each factor kind
+    # at level 1: edit distance, dim-9 l2 (past numpy's 8-wide pairwise
+    # blocks), and abs1d on a grid, whose distances tie.
+    "grt-absxlev": (
+        ["--factors", "abs1d,levenshtein", "--n", "64"],
+        "grt",
+        "4e0b5cb1341e6f3935b34a9ea9641c7feeb9936cc702d29ded6608d722aa7f57",
+        "1da47c26ef936b9566f5a305193d8aec7dee018a479500e9bb1d221d1c4b18df",
+    ),
+    "grt-absxl2w9": (
+        ["--factors", "abs1d,l2:9", "--n", "64"],
+        "grt",
+        "74fdb9b5340f1179360795a7a0dfd705375ff97fca1f26b05843522c817f0f8e",
+        "5e2091dbd5a8bdb65532c2f30b2d95ca40b6d6522be28c079a3c490dc40bb831",
+    ),
+    "grt-l2xabs-grid": (
+        ["--factors", "l2:2,abs1d", "--generator", "grid", "--n", "64"],
+        "grt",
+        "4d47f48f24cbb19941f1fed7f0f4030e6391d14569f72aa815a4235a4c1ec788",
+        "07a8dec848086ac84683f720ca22175ec25096590c510d49eb1b3bf124bd35b9",
     ),
     "ptree-lev": (
         ["--factors", "levenshtein,abs1d", "--n", "48"],

@@ -180,6 +180,34 @@ def test_scalar_and_bulk_are_bit_identical():
                 assert m.dist(x, y) == row[y]
 
 
+def test_paired_calls_match_bulk_bits():
+    # The lockstep greedy pass reads dist_pairs where greedy_permutation
+    # reads dist_many, so the two must agree to the last bit.  Dim 9 is
+    # past numpy's 8-wide pairwise blocks.
+    rng = random.Random(12)
+    n = 48
+    vecs9 = [[rng.uniform(-5, 5) * 10.0 ** rng.randint(-3, 3) for _ in range(9)] for _ in range(n)]
+    for m in _spaces(rng, n) + [MinkowskiMetric("v9", vecs9, p=2)]:
+        xs = np.asarray([rng.randrange(n) for _ in range(300)])
+        ys = np.asarray([rng.randrange(n) for _ in range(300)])
+        before = m.evals
+        row = m.dist_pairs(xs, ys)
+        assert m.evals == before + 300
+        want = np.empty(300)
+        for x in set(xs.tolist()):
+            want[xs == x] = m.dist_many(x, ys[xs == x])
+        assert row.tobytes() == want.tobytes()
+        assert m.dist_pairs([], []).size == 0
+
+
+@pytest.mark.parametrize("xs, ys", [([0, -1], [1, 0]), ([0, 1], [2, 0]), ([0, 1], [1]), ([[0]], [[1]])])
+def test_paired_calls_reject_bad_ids_uncounted(xs, ys):
+    for m in (AbsDiffMetric("x", [0.0, 1.0]), LevenshteinMetric("s", ["a", "b"])):
+        with pytest.raises(InputError):
+            m.dist_pairs(xs, ys)
+        assert m.evals == 0
+
+
 def test_dist_point_accepts_foreign_payloads():
     m = AbsDiffMetric("x", [0.0, 10.0])
     assert m.dist_point(4.0, 1) == 6.0

@@ -14,6 +14,7 @@ from greedyrange import (
     AbsDiffMetric,
     GreedyTree,
     InputError,
+    LevenshteinMetric,
     MinkowskiMetric,
     ProductMetric,
     build_greedy_tree,
@@ -23,7 +24,7 @@ from greedyrange import (
     tree_to_obj,
     verify_greedy_tree,
 )
-from greedyrange.tree import subtree_points
+from greedyrange.tree import lockstep_greedy, subtree_points
 
 
 def line_metric(values):
@@ -96,6 +97,29 @@ def test_matches_brute_simulator(seed):
     assert gp.order == order
     assert gp.parent == parents
     assert gp.insertion_radius == pytest.approx(radii)
+
+
+@pytest.mark.parametrize("layout", ["uniform", "grid", "strings"])
+def test_lockstep_matches_one_pass_per_group(layout):
+    # Groups of many sizes (one of a single point), listed in no id order,
+    # each seeded at a random member; grid values and short strings tie.
+    rng = np.random.default_rng(7)
+    n = 120
+    if layout == "strings":
+        metric = LevenshteinMetric("s", ["".join(rng.choice(list("ab"), size=rng.integers(0, 5))) for _ in range(n)])
+    else:
+        vecs = rng.uniform(0, 4, size=(n, 2))
+        metric = MinkowskiMetric("v", np.floor(vecs) if layout == "grid" else vecs, p=2)
+    sizes = np.array([1, 2, 3, 40, 17, 57])
+    points = np.concatenate([rng.permutation(n)[:k] for k in sizes])
+    offs = np.cumsum(sizes) - sizes
+    seeds = points[offs + rng.integers(0, sizes)]
+    got = lockstep_greedy(points, sizes, seeds, metric)
+    got_evals, metric.evals = metric.evals, 0
+    for gp, o, k, s in zip(got, offs, sizes, seeds):
+        want = greedy_permutation(sorted(points[o : o + k].tolist()), metric, seed=int(s))
+        assert (gp.order, gp.insertion_radius, gp.parent) == (want.order, want.insertion_radius, want.parent)
+    assert got_evals == metric.evals
 
 
 def test_product_permutation_is_valid_per_definition():
